@@ -15,7 +15,8 @@ import numpy as np
 
 from .grid import GridSpec, index_grid
 from .material import CoefficientField
-from .solver import LoadCase, SolverConfig, _Projector, solve_cg, solve_neumann
+from .green import GreenOperator
+from .solver import LoadCase, SolverConfig, solve_cg, solve_neumann
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -193,7 +194,7 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
     n = spec.dim * spec.total
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to |N|*d <= {DENSE_ORACLE_LIMIT}, got {n}")
-    proj = _Projector(spec)
+    green = GreenOperator(spec)
     shape = (spec.dim,) + spec.shape
 
     def columns(op):
@@ -204,11 +205,9 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
             M[:, j] = op(e.reshape(shape)).ravel()
         return M
 
-    G = columns(proj.apply_orthogonal)
+    G = columns(green.G0)
     M_sys = columns(
-        lambda v: proj.apply_orthogonal(
-            np.einsum("ab...,b...->a...", a.full_tensors, v)
-        )
+        lambda v: green.G0(np.einsum("ab...,b...->a...", a.full_tensors, v))
     )
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)

@@ -5,10 +5,22 @@ Per mode the kernel is the rank-one block
 
     Gamma_hat(k) = xi(k) (x) xi(k) / <A0 xi(k), xi(k)>,   Gamma_hat(0) = 0,
 
-so applying it is a forward FFT, a per-mode multiply and an inverse FFT.
-``apply_G0`` composes the kernel with the constant reference tensor A0 and
-is a projection onto the curl-free zero-mean subspace; for scalar A0 it is
-orthogonal and independent of the scalar.
+that is ``n(k) (x) n(k)`` with the unit vector
+``n(k) = xi(k) / sqrt(<A0 xi(k), xi(k)>)`` and ``n(0) = 0``.
+:class:`GreenOperator` stores ``n`` once and applies
+
+    Gamma0 v = n (n . v_hat),      G0 v = Gamma0 A0 v = n ((A0 n) . v_hat).
+
+G0 is a projection onto the curl-free zero-mean subspace; for scalar
+``A0 = lambda I`` it is the orthogonal projection, independent of lambda,
+and Gamma0 is that projection divided by lambda.
+
+The fields are real, so their spectra are Hermitian and only the half
+lattice ``k_d >= 0`` of ``rfftn`` is transformed and multiplied.  Every
+``N_a`` is odd, so there is no Nyquist mode ``k_a = -N_a/2`` without a
+partner ``-k`` on the lattice: the discarded half is the conjugate of the
+kept one, ``n(-k) = -n(k)`` keeps the product Hermitian, and ``irfftn``
+reconstructs the real field exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridSpec, frequency, frequency_grid
-from .transforms import GridField, dft_forward, dft_inverse, SpectralField
+from .transforms import GridField
 
 
 @dataclass(frozen=True)
@@ -78,30 +90,56 @@ def gamma_hat(k, ref: ReferenceTensor, spec: GridSpec) -> np.ndarray:
     return np.outer(xi, xi) / float(xi @ ref.matrix @ xi)
 
 
-def _mode_multiply(spec, coeffs, ref, with_A0):
-    """Apply Gamma_hat (optionally right-composed with A0) to all modes."""
-    xi = frequency_grid(spec)
-    denom = np.einsum("a...,ab,b...->...", xi, ref.matrix, xi)
-    denom[(0,) * spec.dim] = 1.0  # k = 0 block is zeroed below
-    v = coeffs
-    if with_A0:
-        v = np.einsum("ab,b...->a...", ref.matrix, coeffs)
-    dots = np.einsum("a...,a...->...", xi, v)
-    out = xi * (dots / denom)[np.newaxis]
-    out[(slice(None),) + (0,) * spec.dim] = 0.0
-    return out
+class GreenOperator:
+    """Green operator of one (grid, reference) pair on the half spectrum.
+
+    Built once per solve: stores the unit vectors ``n(k)`` on the
+    ``rfftn`` half lattice; each application is one ``rfftn``, a rank-one
+    multiply per mode and one ``irfftn``.  ``ref=None`` means ``A0 = I``.
+    """
+
+    def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
+        if ref is not None and ref.dim != spec.dim:
+            raise ValueError("reference tensor dimension does not match grid")
+        self.spec = spec
+        self.axes = tuple(range(1, spec.dim + 1))
+        # The first N_d // 2 + 1 storage slots of the last axis hold k_d >= 0.
+        xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
+        scalar = None if ref is None else ref.scalar_mode
+        general = ref is not None and scalar is None
+        # A scalar reference cancels from G0 and scales Gamma0 by 1/lambda.
+        metric = ref.matrix if general else np.eye(spec.dim)
+        denom = np.einsum("a...,ab,b...->...", xi, metric, xi)
+        denom[(0,) * spec.dim] = np.inf  # n(0) = 0
+        self.n = xi / np.sqrt(denom)
+        self.A0n = np.einsum("ab,b...->a...", metric, self.n) if general else self.n
+        self.gamma_scale = 1.0 if scalar is None else 1.0 / scalar
+
+    def _apply(self, values, right, scale=1.0):
+        """``irfftn(n (scale * right . rfftn(values)))``."""
+        vhat = np.fft.rfftn(values, axes=self.axes)
+        dots = np.einsum("a...,a...->...", right, vhat)
+        dots *= scale
+        np.multiply(self.n, dots, out=vhat)
+        return np.fft.irfftn(vhat, s=self.spec.shape, axes=self.axes)
+
+    def gamma0(self, values: np.ndarray) -> np.ndarray:
+        """``Gamma0 v = n (n . v_hat)`` on a ``(d, *N)`` array."""
+        return self._apply(values, self.n, self.gamma_scale)
+
+    def G0(self, values: np.ndarray) -> np.ndarray:
+        """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)`` array."""
+        return self._apply(values, self.A0n)
 
 
 def apply_gamma0(u: GridField, ref: ReferenceTensor) -> GridField:
     """Action of the Green operator Gamma0 (no A0 factor)."""
-    s = dft_forward(u)
-    return dft_inverse(SpectralField(u.spec, _mode_multiply(u.spec, s.coeffs, ref, False)))
+    return GridField(u.spec, GreenOperator(u.spec, ref).gamma0(u.values))
 
 
 def apply_G0(u: GridField, ref: ReferenceTensor) -> GridField:
     """Projection G0 = Gamma0 A0 onto the curl-free zero-mean subspace."""
-    s = dft_forward(u)
-    return dft_inverse(SpectralField(u.spec, _mode_multiply(u.spec, s.coeffs, ref, True)))
+    return GridField(u.spec, GreenOperator(u.spec, ref).G0(u.values))
 
 
 def project_mean(u: GridField) -> GridField:

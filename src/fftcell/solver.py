@@ -9,8 +9,9 @@ Two routes are provided for the same discrete solution:
 * the classical fixed-point (Neumann-series) iteration
   ``e <- -Gamma0 (A - A0) e + E`` around a constant reference medium A0.
 
-All norms are the discrete mean L2 norm, matching the trigonometric
-polynomial L2 norm through the grid-value isometry.
+Each solve builds one :class:`~fftcell.green.GreenOperator` and applies it
+in every iteration.  All norms are the discrete mean L2 norm, matching the
+trigonometric polynomial L2 norm through the grid-value isometry.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, frequency_grid
-from .green import ReferenceTensor
+from .grid import GridSpec
+from .green import GreenOperator, ReferenceTensor
 from .material import CoefficientField, apply_A
 from .transforms import GridField, l2_norm
 
@@ -87,46 +88,9 @@ class SolveReport:
     iterates: tuple = ()  # per-iteration solutions, only when recorded
 
 
-class _Projector:
-    """Cached Fourier-space machinery for one (spec, reference) pair."""
-
-    def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
-        self.spec = spec
-        self.axes = tuple(range(1, spec.dim + 1))
-        xi = frequency_grid(spec)
-        self.xi = xi
-        denom = np.einsum("a...,a...->...", xi, xi)
-        denom[(0,) * spec.dim] = 1.0
-        self.denom_orth = denom
-        if ref is not None:
-            denom_ref = np.einsum("a...,ab,b...->...", xi, ref.matrix, xi)
-            denom_ref[(0,) * spec.dim] = 1.0
-            self.denom_ref = denom_ref
-
-    def _project_hat(self, vhat, denom):
-        dots = np.einsum("a...,a...->...", self.xi, vhat)
-        out = self.xi * (dots / denom)[np.newaxis]
-        out[(slice(None),) + (0,) * self.spec.dim] = 0.0
-        return out
-
-    def apply_orthogonal(self, values):
-        """Orthogonal projection G onto the curl-free zero-mean subspace."""
-        vhat = np.fft.fftn(values, axes=self.axes)
-        phat = self._project_hat(vhat, self.denom_orth)
-        return np.fft.ifftn(phat, axes=self.axes).real
-
-    def apply_gamma_ref(self, values):
-        """Green operator Gamma0 for the configured reference tensor."""
-        vhat = np.fft.fftn(values, axes=self.axes)
-        phat = self._project_hat(vhat, self.denom_ref)
-        return np.fft.ifftn(phat, axes=self.axes).real
-
-
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
     """System operator ``G A u`` with the orthogonal (scalar-independent) G."""
-    proj = _Projector(a.spec)
-    Au = apply_A(a, u)
-    return GridField(a.spec, proj.apply_orthogonal(Au.values))
+    return GridField(a.spec, GreenOperator(a.spec).G0(apply_A(a, u).values))
 
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:
@@ -148,33 +112,31 @@ def solve_cg(
 ) -> SolveReport:
     """Conjugate gradients on the projected system.
 
+    CG runs on ``G (A / C_A) x = -G (A / C_A) E / |E|_max``.  Neither
+    scaling changes the iterates, and together they keep every norm near
+    one, so coefficients and loads of any magnitude neither underflow nor
+    overflow.  The solution is ``|E|_max x`` and ``residual_history`` is
+    reported in the caller's units, ``|G A (e~ + E)|``.
+
     The reference stopping scale ``|r_0|`` is always the zero-init residual
     (the right-hand-side norm), so restarts with a warm start stop at the
-    same absolute accuracy.  A scalar reference ``lambda * I`` may be
-    supplied; the projection it induces is the same orthogonal projection,
-    so the iterates are independent of lambda up to rounding.  With
+    same absolute accuracy.  A scalar reference in ``cfg`` induces the same
+    orthogonal projection, so it does not enter the iteration.  With
     ``record_iterates`` the report carries every solution iterate.
     """
     if cfg.method != "cg":
         raise ValueError("config method is not 'cg'")
     spec = a.spec
-    proj = _Projector(spec, cfg.reference)
-    if cfg.reference is None:
-        project = proj.apply_orthogonal
-        lam = None
-    else:
-        # G0 = Gamma0 A0 with A0 = lambda I: scale by lambda and divide by
-        # <A0 xi, xi>; algebraically the orthogonal projection again.
-        lam = cfg.reference.scalar_mode
-
-        def project(values):
-            return proj.apply_gamma_ref(lam * values)
+    # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to the
+    # operator output without a scaled copy of the coefficients.
+    green = GreenOperator(spec, ReferenceTensor.scalar(a.C_A, spec.dim))
+    E_max = float(np.max(np.abs(load.E))) or 1.0  # E = 0 gives rhs = 0
+    units = a.C_A * E_max
 
     def operator(values):
-        return project(np.einsum("ab...,b...->a...", a.full_tensors, values))
+        return green.gamma0(np.einsum("ab...,b...->a...", a.full_tensors, values))
 
-    E_vals = load.expand(spec).values
-    rhs = -operator(E_vals)
+    rhs = -operator(load.expand(spec).values / E_max)
     r0_norm = np.sqrt(_inner(spec, rhs, rhs))
 
     if init is None:
@@ -182,52 +144,43 @@ def solve_cg(
         r = rhs.copy()
     else:
         # Sanitize user input drift back into the curl-free subspace.
-        x = proj.apply_orthogonal(init.values)
+        x = green.G0(init.values) / E_max
         r = rhs - operator(x)
 
-    history = [np.sqrt(_inner(spec, r, r))]
-    iterates = [GridField(spec, x.copy())] if record_iterates else []
-    if r0_norm == 0.0 or history[0] <= cfg.tol * r0_norm:
+    rr = _inner(spec, r, r)
+    history = [units * np.sqrt(rr)]
+    iterates = [GridField(spec, E_max * x)] if record_iterates else []
+
+    def report(iterations, converged, message=""):
         return SolveReport(
-            GridField(spec, x), 0, tuple(history), True, "cg",
-            iterates=tuple(iterates),
+            GridField(spec, E_max * x), iterations, tuple(history), converged, "cg",
+            message=message, iterates=tuple(iterates),
         )
 
+    if r0_norm == 0.0 or np.sqrt(rr) <= cfg.tol * r0_norm:
+        return report(0, True)
+
     p = r.copy()
-    rr = _inner(spec, r, r)
-    converged = False
-    iterations = 0
     for i in range(cfg.max_iter):
         Ap = operator(p)
         pAp = _inner(spec, p, Ap)
         if pAp <= 0:
-            return SolveReport(
-                GridField(spec, x),
-                iterations,
-                tuple(history),
-                False,
-                "cg",
-                message=f"operator lost positive definiteness (pAp={pAp:.3e})",
-                iterates=tuple(iterates),
+            return report(
+                i, False, f"operator lost positive definiteness (pAp={pAp:.3e})"
             )
         alpha = rr / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         rr_new = _inner(spec, r, r)
-        iterations = i + 1
-        history.append(np.sqrt(rr_new))
+        history.append(units * np.sqrt(rr_new))
         if record_iterates:
-            iterates.append(GridField(spec, x.copy()))
+            iterates.append(GridField(spec, E_max * x))
         if np.sqrt(rr_new) <= cfg.tol * r0_norm:
-            converged = True
-            break
-        p = r + (rr_new / rr) * p
+            return report(i + 1, True)
+        p *= rr_new / rr
+        p += r
         rr = rr_new
-
-    return SolveReport(
-        GridField(spec, x), iterations, tuple(history), converged, "cg",
-        iterates=tuple(iterates),
-    )
+    return report(cfg.max_iter, False)
 
 
 def default_reference(a: CoefficientField) -> ReferenceTensor:
@@ -245,10 +198,8 @@ def solve_neumann(
     (the spectral radius of the iteration operator exceeds one).
     """
     ref = cfg.reference if cfg.reference is not None else default_reference(a)
-    if ref.dim != a.spec.dim:
-        raise ValueError("reference tensor dimension does not match grid")
     spec = a.spec
-    proj = _Projector(spec, ref)
+    green = GreenOperator(spec, ref)
     E_vals = load.expand(spec).values
     contrast = a.full_tensors - ref.matrix.reshape(
         (spec.dim, spec.dim) + (1,) * spec.dim
@@ -262,10 +213,10 @@ def solve_neumann(
     converged = False
     iterations = 0
     for i in range(cfg.max_iter):
-        e_new = E_vals - proj.apply_gamma_ref(
-            np.einsum("ab...,b...->a...", contrast, e)
-        )
-        update = np.sqrt(_inner(spec, e_new - e, e_new - e))
+        e_new = green.gamma0(np.einsum("ab...,b...->a...", contrast, e))
+        np.subtract(E_vals, e_new, out=e_new)
+        e -= e_new  # e_old - e_new: the update
+        update = np.sqrt(_inner(spec, e, e))
         history.append(update)
         e = e_new
         iterations = i + 1

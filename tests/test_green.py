@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fftcell.green import (
+    GreenOperator,
     ReferenceTensor,
     apply_G0,
     apply_gamma0,
@@ -9,7 +10,7 @@ from fftcell.green import (
     project_J,
     project_mean,
 )
-from fftcell.grid import GridSpec
+from fftcell.grid import GridSpec, index_to_slot, iter_lattice
 from fftcell.transforms import GridField, dft_forward, dft_inverse, l2_inner, truncate
 
 from conftest import (
@@ -218,3 +219,71 @@ class TestHelmholtzProjectors:
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError, match="scalar"):
             project_J(random_field(spec, rng), ref)
+
+
+class TestGreenOperator:
+    """The half-spectrum operator against the per-mode block and the
+    full-spectrum helpers of conftest."""
+
+    SPEC_3D = GridSpec((1.0, 0.6, 1.7), (5, 7, 3))
+
+    def test_every_mode_matches_the_per_mode_block(self, rng):
+        spec = self.SPEC_3D
+        ref = random_spd_reference(spec.dim, rng)
+        green = GreenOperator(spec, ref)
+        u = random_field(spec, rng)
+        u_hat = dft_forward(u).coeffs
+        gamma_out = dft_forward(GridField(spec, green.gamma0(u.values))).coeffs
+        g0_out = dft_forward(GridField(spec, green.G0(u.values))).coeffs
+        for k in iter_lattice(spec):
+            at = (slice(None),) + index_to_slot(spec, k)
+            block = gamma_hat(k, ref, spec)
+            assert np.allclose(gamma_out[at], block @ u_hat[at], rtol=0, atol=1e-14)
+            assert np.allclose(
+                g0_out[at], block @ ref.matrix @ u_hat[at], rtol=0, atol=1e-14
+            )
+
+    def test_G0_is_idempotent_for_a_general_reference(self, rng):
+        spec = self.SPEC_3D
+        green = GreenOperator(spec, random_spd_reference(spec.dim, rng))
+        once = green.G0(random_field(spec, rng).values)
+        twice = green.G0(once)
+        assert np.max(np.abs(twice - once)) <= 1e-12 * max(1.0, np.max(np.abs(once)))
+
+    @pytest.mark.parametrize("ref_kind", ["none", "scalar"])
+    def test_scalar_reference_output_is_curl_free_and_mean_free(self, ref_kind, rng):
+        spec = self.SPEC_3D
+        ref = None if ref_kind == "none" else random_spd_reference(3, rng, scalar=True)
+        green = GreenOperator(spec, ref)
+        u = random_field(spec, rng)
+        for out in (green.gamma0(u.values), green.G0(u.values)):
+            field = GridField(spec, out)
+            assert curl_residual(field) <= 1e-13
+            assert mean_residual(field) <= 1e-14
+
+    def test_scalar_reference_matches_the_orthogonal_projection(self, rng):
+        spec = self.SPEC_3D
+        lam = 3.5
+        u = random_field(spec, rng).values
+        plain = GreenOperator(spec)
+        scalar = GreenOperator(spec, ReferenceTensor.scalar(lam, spec.dim))
+        assert np.array_equal(scalar.G0(u), plain.G0(u))
+        assert np.allclose(lam * scalar.gamma0(u), plain.G0(u), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+    @pytest.mark.parametrize("ref_kind", ["none", "scalar", "general"])
+    def test_outputs_are_real_float64_fields(self, spec, ref_kind, rng):
+        ref = {
+            "none": None,
+            "scalar": random_spd_reference(spec.dim, rng, scalar=True),
+            "general": random_spd_reference(spec.dim, rng),
+        }[ref_kind]
+        green = GreenOperator(spec, ref)
+        u = random_field(spec, rng).values
+        for out in (green.gamma0(u), green.G0(u)):
+            assert out.dtype == np.float64
+            assert out.shape == (spec.dim,) + spec.shape
+
+    def test_reference_dimension_is_checked(self):
+        with pytest.raises(ValueError, match="dimension"):
+            GreenOperator(GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor.scalar(1.0, 3))

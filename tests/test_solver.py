@@ -5,7 +5,8 @@ from fftcell.analysis import dense_oracle
 from fftcell.families import checkerboard_2d, sine_1d
 from fftcell.green import ReferenceTensor
 from fftcell.grid import GridSpec
-from fftcell.material import sample_analytic
+from fftcell.homogenize import effective_tensor
+from fftcell.material import CoefficientField, sample_analytic
 from fftcell.solver import (
     LoadCase,
     SolverConfig,
@@ -175,6 +176,68 @@ class TestConjugateGradients:
             assert report.converged
             E_norm = float(np.sqrt(np.dot(load.E, load.E)))
             assert l2_norm(report.solution) <= a.rho_A * E_norm * (1 + 10 * cfg.tol)
+
+
+def laminate_27(scale):
+    """27^2 laminate across axis 0: 13 layers at 10, 14 at 1, times scale."""
+    spec = GridSpec((1.0, 1.0), (27, 27))
+    layers = np.where(np.arange(27) < 13, 10.0, 1.0)
+    scalars = scale * np.broadcast_to(layers[:, np.newaxis], spec.shape)
+    return CoefficientField.isotropic(spec, scalars)
+
+
+class TestScaleInvariance:
+    HARMONIC_MEAN = 27.0 / (13 / 10.0 + 14 / 1.0)  # 1.7647
+
+    @pytest.mark.parametrize("s", [1.0, 1e-300, 1e300], ids=str)
+    def test_scaled_laminate_gives_the_harmonic_mean(self, s):
+        eff = effective_tensor(laminate_27(s), SolverConfig(tol=1e-6))
+        case = eff.per_case_reports[0]
+        assert case.converged
+        assert case.iterations > 0
+        assert eff.matrix[0, 0] / s == pytest.approx(self.HARMONIC_MEAN, rel=1e-9)
+
+    def test_coefficient_scaling_leaves_the_iteration_unchanged(self):
+        a = checkerboard_2d(1.0, 100.0).sample(GridSpec((1.0, 1.0), (27, 27)))
+        load = LoadCase((1.0, 0.0))
+        cfg = SolverConfig(tol=1e-8, max_iter=500)
+        base = solve_cg(a, load, cfg)
+        scale = np.max(np.abs(base.solution.values))
+        for s in (1e-300, 1e300):
+            other = solve_cg(CoefficientField(a.spec, s * a.components), load, cfg)
+            assert other.iterations == base.iterations
+            diff = np.max(np.abs(other.solution.values - base.solution.values))
+            assert diff <= 1e-12 * scale
+            history = np.array(other.residual_history) / s
+            atol = 1e-12 * base.residual_history[0]
+            assert np.allclose(history, base.residual_history, rtol=1e-12, atol=atol)
+
+    def test_load_scaling_scales_the_solution(self):
+        a = checkerboard_2d(1.0, 100.0).sample(GridSpec((1.0, 1.0), (27, 27)))
+        cfg = SolverConfig(tol=1e-8, max_iter=500)
+        base = solve_cg(a, LoadCase((0.6, -0.8)), cfg)
+        for t in (1e-300, 1e300):
+            other = solve_cg(a, LoadCase((0.6 * t, -0.8 * t)), cfg)
+            assert other.converged
+            assert other.iterations == base.iterations
+            # E / |E|_max rounds differently at each t: agreement to rounding.
+            scale = np.max(np.abs(base.solution.values))
+            diff = np.max(np.abs(other.solution.values / t - base.solution.values))
+            assert diff <= 1e-12 * scale
+
+    def test_residual_history_is_in_the_callers_units(self):
+        # residual_norm squares its field, so keep s^2 within float range.
+        for s in (1e-100, 1e100):
+            a = laminate_27(s)
+            load = LoadCase((1.0, 0.0))
+            report = solve_cg(a, load, SolverConfig(tol=1e-6))
+            assert report.residual_history[0] == pytest.approx(
+                residual_norm(a, load, GridField.zeros(a.spec)), rel=1e-12
+            )
+            true_final = residual_norm(a, load, report.solution)
+            assert abs(report.residual_history[-1] - true_final) <= (
+                1e-12 * report.residual_history[0]
+            )
 
 
 class TestNeumannIteration:
