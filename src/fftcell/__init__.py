@@ -1,7 +1,7 @@
 """Matrix-free FFT-based spectral Galerkin solver for the periodic scalar
 cell problem of homogenization."""
 
-from .grid import GridSpec, frequency, grid_point, iter_lattice
+from .grid import GridSpec, frequency, grid_point, iter_lattice, next_fast_odd
 from .green import ReferenceTensor, apply_G0, apply_gamma0, gamma_hat, project_J, project_mean
 from .material import CoefficientField, apply_A, load_voxel, sample_analytic, save_coefficients
 from .transforms import (
@@ -31,6 +31,7 @@ __all__ = [
     "frequency",
     "grid_point",
     "iter_lattice",
+    "next_fast_odd",
     "gamma_hat",
     "apply_G0",
     "apply_gamma0",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, index_grid
-from .material import CoefficientField
+from .material import CoefficientField, contract
 from .green import GreenOperator
 from .solver import LoadCase, SolverConfig, solve_cg, solve_neumann
 from .transforms import GridField, SpectralField, dft_forward
@@ -206,9 +206,7 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
         return M
 
     G = columns(green.G0)
-    M_sys = columns(
-        lambda v: green.G0(np.einsum("ab...,b...->a...", a.full_tensors, v))
-    )
+    M_sys = columns(lambda v: green.G0(contract(a.data, v)))
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)
     B = U[:, s > 0.5]

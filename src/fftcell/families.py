@@ -5,6 +5,12 @@ needed.  A family bundles a pointwise sampler with its natural dimension
 and a regularity label ("smooth" or "low-regularity"); the label selects
 the expected convergence behavior in the analysis harness, since smoothness
 cannot be verified from samples.
+
+The built-in samplers are written once with numpy broadcasting: the same
+function takes one point ``(d,)`` or the whole coordinate grid ``(d, *N)``
+and returns the isotropic coefficient ``a(x)`` in the matching shape, so a
+built-in family samples in one call.  Families made with a per-point
+sampler (``vectorized=False``, the default) are sampled point by point.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, coordinate_grid
 from .material import CoefficientField, sample_analytic
 
 
@@ -24,12 +30,15 @@ class Family:
     sampler: callable
     regularity: str  # "smooth" | "low-regularity"
     default_half_periods: tuple
+    vectorized: bool = False  # sampler maps a (d, *N) grid to (*N) scalars
 
     def sample(self, spec: GridSpec) -> CoefficientField:
         if spec.dim != self.dim:
             raise ValueError(
                 f"family {self.name!r} is {self.dim}-dimensional, grid is {spec.dim}"
             )
+        if self.vectorized:
+            return CoefficientField.isotropic(spec, self.sampler(coordinate_grid(spec)))
         return sample_analytic(self.sampler, spec)
 
     def default_spec(self, shape) -> GridSpec:
@@ -43,9 +52,10 @@ def homogeneous(value, dim=2):
     return Family(
         name=f"homogeneous({value:g})",
         dim=dim,
-        sampler=lambda x: value,
+        sampler=lambda x: np.full(np.shape(x)[1:], value),
         regularity="smooth",
         default_half_periods=(1.0,) * dim,
+        vectorized=True,
     )
 
 
@@ -61,6 +71,7 @@ def sine_1d():
         sampler=lambda x: 3.0 + 2.0 * np.sin(np.pi * x[0]),
         regularity="smooth",
         default_half_periods=(1.0,),
+        vectorized=True,
     )
 
 
@@ -75,7 +86,7 @@ def smooth_inclusion_2d(contrast):
         raise ValueError("contrast must be >= 1")
 
     def sampler(x):
-        bump = np.prod((1.0 + np.cos(np.pi * np.asarray(x))) / 2.0)
+        bump = np.prod((1.0 + np.cos(np.pi * np.asarray(x))) / 2.0, axis=0)
         return 1.0 + (contrast - 1.0) * bump
 
     return Family(
@@ -84,6 +95,7 @@ def smooth_inclusion_2d(contrast):
         sampler=sampler,
         regularity="smooth",
         default_half_periods=(1.0, 1.0),
+        vectorized=True,
     )
 
 
@@ -95,7 +107,7 @@ def disk_inclusion_2d(a_matrix, a_inclusion, radius=0.5):
 
     def sampler(x):
         inside = x[0] ** 2 + x[1] ** 2 < radius**2
-        return a_inclusion if inside else a_matrix
+        return np.where(inside, a_inclusion, a_matrix)
 
     return Family(
         name=f"inclusion-disk({a_matrix:g},{a_inclusion:g})",
@@ -103,6 +115,7 @@ def disk_inclusion_2d(a_matrix, a_inclusion, radius=0.5):
         sampler=sampler,
         regularity="low-regularity",
         default_half_periods=(1.0, 1.0),
+        vectorized=True,
     )
 
 
@@ -123,11 +136,7 @@ def checkerboard_2d(a1, a2):
 
     def sampler(x):
         s = np.sign(x[0]) * np.sign(x[1])
-        if s > 0:
-            return a1
-        if s < 0:
-            return a2
-        return interface
+        return np.where(s > 0, a1, np.where(s < 0, a2, interface))
 
     return Family(
         name=f"checkerboard({a1:g},{a2:g})",
@@ -135,6 +144,7 @@ def checkerboard_2d(a1, a2):
         sampler=sampler,
         regularity="low-regularity",
         default_half_periods=(1.0, 1.0),
+        vectorized=True,
     )
 
 

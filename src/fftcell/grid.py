@@ -22,6 +22,7 @@ need no explicit shifting.  The same slot map positions grid points
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +140,13 @@ def index_grid(spec):
     return np.stack(mesh)
 
 
+def coordinate_grid(spec):
+    """Grid points ``x^k`` for the whole lattice, shape ``(d, *N)``; equal to
+    :func:`grid_point` slot by slot, bit for bit."""
+    h = np.array(spec.spacings).reshape((spec.dim,) + (1,) * spec.dim)
+    return index_grid(spec) * h
+
+
 def frequency_grid(spec):
     """Frequency vectors ``xi(k)`` for the whole lattice, shape ``(d, *N)``."""
     ks = index_grid(spec).astype(float)
@@ -152,3 +160,20 @@ def underlined_frequency_grid(spec):
     zero = (slice(None),) + (0,) * spec.dim
     xi[zero] = 1.0
     return xi
+
+
+def next_fast_odd(n):
+    """Smallest odd grid size ``>= n`` whose prime factors all lie in
+    {3, 5, 7}; FFTs on such sizes are fast, while a large prime factor
+    (95 = 5 * 19) makes them slow."""
+    if n < 1:
+        raise ValueError(f"grid size must be positive, got {n}")
+    m = math.ceil(n) | 1
+    while True:
+        rest = m
+        for p in (3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2

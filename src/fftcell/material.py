@@ -1,10 +1,11 @@
 """Coefficient field A(x) on the grid: analytic sampling, voxel-file IO,
 SPD validation and ellipticity bounds.
 
-Storage is packed symmetric: diagonal entries first, then the strict upper
-triangle row by row, giving ``d (d + 1) / 2`` components per grid point.
-Pointwise eigenvalue bounds use closed forms for d <= 3 so the core carries
-no iterative eigensolver dependency.
+Isotropic data ``a(x) I`` is stored as one scalar per grid point.  Other
+data is stored packed symmetric: diagonal entries first, then the strict
+upper triangle row by row, giving ``d (d + 1) / 2`` components per grid
+point.  Pointwise eigenvalue bounds use closed forms for d <= 3 so the core
+carries no iterative eigensolver dependency.
 """
 
 from __future__ import annotations
@@ -49,28 +50,26 @@ def _unpack(packed, dim):
     return full
 
 
-def _eigen_range(full, dim):
-    """Pointwise min/max eigenvalues, closed form for d <= 3."""
+def _eigen_range(packed, dim):
+    """Pointwise min/max eigenvalues of packed tensors, closed form for d <= 3."""
     if dim == 1:
-        lam = full[0, 0]
+        lam = packed[0]
         return lam, lam
     if dim == 2:
-        a, b, c = full[0, 0], full[0, 1], full[1, 1]
+        a, c, b = packed
         mean = 0.5 * (a + c)
         radius = np.sqrt(0.25 * (a - c) ** 2 + b**2)
         return mean - radius, mean + radius
     if dim == 3:
-        # Trigonometric solution of the characteristic cubic (Smith 1961).
-        q = np.trace(full, axis1=0, axis2=1) / 3.0
-        B = full - q * np.eye(3).reshape((3, 3) + (1,) * (full.ndim - 2))
-        p2 = np.einsum("ab...,ab...->...", B, B) / 6.0
+        # Trigonometric solution of the characteristic cubic (Smith 1961)
+        # for B = A - q I with q the mean eigenvalue.
+        q = (packed[0] + packed[1] + packed[2]) / 3.0
+        b0, b1, b2 = packed[0] - q, packed[1] - q, packed[2] - q
+        x, y, z = packed[3], packed[4], packed[5]  # B01, B02, B12
+        p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (x * x + y * y + z * z)) / 6.0
         p = np.sqrt(np.maximum(p2, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            detB = (
-                B[0, 0] * (B[1, 1] * B[2, 2] - B[1, 2] * B[2, 1])
-                - B[0, 1] * (B[1, 0] * B[2, 2] - B[1, 2] * B[2, 0])
-                + B[0, 2] * (B[1, 0] * B[2, 1] - B[1, 1] * B[2, 0])
-            )
+            detB = b0 * (b1 * b2 - z * z) - x * (x * b2 - z * y) + y * (x * z - b1 * y)
             r = np.where(p > 0, detB / (2.0 * np.maximum(p, 1e-300) ** 3), 0.0)
         r = np.clip(r, -1.0, 1.0)
         phi = np.arccos(r) / 3.0
@@ -78,8 +77,8 @@ def _eigen_range(full, dim):
         lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
         return lam_min, lam_max
     # Generic fallback for untypical dimensions.
-    grid_shape = full.shape[2:]
-    mats = np.moveaxis(full.reshape(dim, dim, -1), -1, 0)
+    grid_shape = packed.shape[1:]
+    mats = np.moveaxis(_unpack(packed, dim).reshape(dim, dim, -1), -1, 0)
     eigs = np.linalg.eigvalsh(mats)
     return (
         eigs[:, 0].reshape(grid_shape),
@@ -89,47 +88,78 @@ def _eigen_range(full, dim):
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Symmetric positive-definite d x d tensor per grid point."""
+    """Symmetric positive-definite d x d tensor per grid point.
+
+    ``data`` holds one representation: scalars ``(*N)`` for isotropic data
+    ``a(x) I``, packed components ``(d(d+1)/2, *N)`` otherwise.  Packed
+    input whose off-diagonals are 0 and whose diagonals are equal (every
+    1-D field) is stored as scalars.  ``components`` and ``full_tensors``
+    expand on demand; the solvers use the storage through :func:`contract`.
+    """
 
     spec: GridSpec
-    components: np.ndarray  # packed symmetric, (d(d+1)/2, *N)
-    _full: np.ndarray = field(init=False, repr=False)
+    data: np.ndarray
     c_A: float = field(init=False)
     C_A: float = field(init=False)
 
     def __post_init__(self):
         d = self.spec.dim
-        nsym = d * (d + 1) // 2
-        comp = np.asarray(self.components, dtype=float)
-        expected = (nsym,) + self.spec.shape
-        if comp.shape != expected:
+        data = np.ascontiguousarray(self.data, dtype=float)
+        packed = (d * (d + 1) // 2,) + self.spec.shape
+        if data.shape not in (self.spec.shape, packed):
             raise MaterialDataError(
-                f"components shape {comp.shape} != expected {expected}"
+                f"coefficient data shape {data.shape} != expected "
+                f"{packed} (packed) or {self.spec.shape} (isotropic)"
             )
-        if not np.all(np.isfinite(comp)):
-            bad = np.argwhere(~np.isfinite(comp))[0]
+        if not np.all(np.isfinite(data)):
+            bad = np.argwhere(~np.isfinite(data))[0]
             raise MaterialDataError(f"non-finite coefficient at {tuple(bad)}")
-        full = _unpack(comp, d)
-        lam_min, lam_max = _eigen_range(full, d)
+        if (
+            data.shape == packed
+            and np.all(data[d:] == 0)
+            and np.all(data[1:d] == data[0])
+        ):
+            data = data[0].copy()  # a copy, so the packed input is not kept
+        if data.shape == self.spec.shape:
+            lam_min = lam_max = data
+        else:
+            lam_min, lam_max = _eigen_range(data, d)
         if np.min(lam_min) <= 0:
             slot = np.unravel_index(int(np.argmin(lam_min)), self.spec.shape)
             raise MaterialDataError(
                 f"coefficient tensor not positive definite at grid slot {slot} "
                 f"(min eigenvalue {np.min(lam_min):.6g})"
             )
-        object.__setattr__(self, "components", comp)
-        object.__setattr__(self, "_full", full)
+        C_A = float(np.max(lam_max))
+        if C_A < np.finfo(float).tiny:
+            # 1 / C_A overflows, and the solvers' Green operators divide by it.
+            raise MaterialDataError(
+                f"coefficient scale C_A = {C_A:.6g} is subnormal (below "
+                f"{np.finfo(float).tiny:.6g}); rescale the coefficients"
+            )
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "c_A", float(np.min(lam_min)))
-        object.__setattr__(self, "C_A", float(np.max(lam_max)))
+        object.__setattr__(self, "C_A", C_A)
 
     @property
     def rho_A(self):
         return self.C_A / self.c_A
 
     @property
+    def components(self):
+        """Packed symmetric ``(d(d+1)/2, *N)`` components, expanded from
+        scalars for isotropic data."""
+        if self.data.ndim > self.spec.dim:
+            return self.data
+        d = self.spec.dim
+        comp = np.zeros((d * (d + 1) // 2,) + self.spec.shape)
+        comp[:d] = self.data
+        return comp
+
+    @property
     def full_tensors(self):
-        """Expanded (d, d, *N) view of the coefficient tensors."""
-        return self._full
+        """Expanded ``(d, d, *N)`` copy of the coefficient tensors."""
+        return _unpack(self.components, self.spec.dim)
 
     @classmethod
     def from_matrices(cls, spec, matrices):
@@ -151,15 +181,13 @@ class CoefficientField:
             raise MaterialDataError(
                 f"scalar field shape {scalars.shape} != grid shape {spec.shape}"
             )
-        d = spec.dim
-        nsym = d * (d + 1) // 2
-        comp = np.zeros((nsym,) + spec.shape)
-        comp[:d] = scalars
-        return cls(spec, comp)
+        return cls(spec, scalars)
 
 
 def sample_analytic(f, spec: GridSpec) -> CoefficientField:
-    """Sample a pointwise tensor function at the grid points.
+    """Sample a pointwise tensor function at the grid points, one call per
+    point (the path for user callables; built-in families sample on the
+    whole coordinate grid at once).
 
     ``f`` maps a point to a symmetric d x d matrix, or to a scalar
     (interpreted as an isotropic tensor a(x) * I).
@@ -179,12 +207,30 @@ def sample_analytic(f, spec: GridSpec) -> CoefficientField:
     return CoefficientField.from_matrices(spec, matrices)
 
 
+def contract(data: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Pointwise ``A u`` from coefficient storage: ``data`` holds scalars
+    ``(*N)`` or packed components ``(d(d+1)/2, *N)`` (``CoefficientField.data``
+    or a contrast ``A - A0`` in the same layout), ``values`` is ``(d, *N)``.
+
+    The scalar case is one multiply, which equals the full-tensor sum
+    ``a u_a + 0 u_b`` bit for bit.
+    """
+    if data.ndim < values.ndim:
+        return data * values
+    d = values.shape[0]
+    out = data[:d] * values
+    tmp = np.empty_like(values[0])
+    for comp, (a, b) in enumerate(sym_component_pairs(d)[d:], start=d):
+        out[a] += np.multiply(data[comp], values[b], out=tmp)
+        out[b] += np.multiply(data[comp], values[a], out=tmp)
+    return out
+
+
 def apply_A(a: CoefficientField, u: GridField) -> GridField:
     """Pointwise matrix-vector product, the block-diagonal action of A."""
     if a.spec != u.spec:
         raise ValueError("coefficient field and grid field specs do not match")
-    out = np.einsum("ab...,b...->a...", a.full_tensors, u.values)
-    return GridField(u.spec, out)
+    return GridField(u.spec, contract(a.data, u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +273,9 @@ def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
 
 def save_coefficients(path, a: CoefficientField, kind="symmetric-tensor"):
     if kind == "isotropic":
-        d = a.spec.dim
-        diag = a.components[:d]
-        off = a.components[d:]
-        if np.any(off != 0) or np.any(diag != diag[0]):
+        if a.data.shape != a.spec.shape:
             raise MaterialDataError("field is not isotropic; cannot save as such")
-        save_voxel(path, a.spec, a.components[0], "isotropic")
+        save_voxel(path, a.spec, a.data, "isotropic")
     else:
         save_voxel(path, a.spec, a.components, "symmetric-tensor")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .green import GreenOperator, ReferenceTensor
-from .material import CoefficientField, apply_A
+from .material import CoefficientField, apply_A, contract, sym_component_pairs
 from .transforms import GridField, l2_norm
 
 _DIVERGENCE_WINDOW = 10  # consecutive growth steps before declaring divergence
@@ -134,7 +134,7 @@ def solve_cg(
     units = a.C_A * E_max
 
     def operator(values):
-        return green.gamma0(np.einsum("ab...,b...->a...", a.full_tensors, values))
+        return green.gamma0(contract(a.data, values))
 
     rhs = -operator(load.expand(spec).values / E_max)
     r0_norm = np.sqrt(_inner(spec, rhs, rhs))
@@ -201,9 +201,11 @@ def solve_neumann(
     spec = a.spec
     green = GreenOperator(spec, ref)
     E_vals = load.expand(spec).values
-    contrast = a.full_tensors - ref.matrix.reshape(
-        (spec.dim, spec.dim) + (1,) * spec.dim
-    )
+    if ref.scalar_mode is not None and a.data.shape == spec.shape:
+        contrast = a.data - ref.scalar_mode  # (a - lambda) I, stored as scalars
+    else:
+        ref_packed = [ref.matrix[i, j] for i, j in sym_component_pairs(spec.dim)]
+        contrast = a.components - np.reshape(ref_packed, (-1,) + (1,) * spec.dim)
 
     e = E_vals.copy()
     scale = max(l2_norm(load.expand(spec)), np.finfo(float).tiny)
@@ -213,7 +215,7 @@ def solve_neumann(
     converged = False
     iterations = 0
     for i in range(cfg.max_iter):
-        e_new = green.gamma0(np.einsum("ab...,b...->a...", contrast, e))
+        e_new = green.gamma0(contract(contrast, e))
         np.subtract(E_vals, e_new, out=e_new)
         e -= e_new  # e_old - e_new: the update
         update = np.sqrt(_inner(spec, e, e))

@@ -177,7 +177,17 @@ def l2_inner(u: GridField, v: GridField) -> float:
 
 
 def l2_norm(u: GridField) -> float:
-    return float(np.sqrt(max(l2_inner(u, u), 0.0)))
+    """Discrete mean L2 norm ``sqrt(l2_inner(u, u))`` without overflow or
+    underflow: the field is scaled by the power of two of its max-abs entry
+    before squaring.  Power-of-two scaling is exact, so wherever the plain
+    formula stays in range the result is the same bit for bit.
+    """
+    peak = float(np.max(np.abs(u.values))) if u.values.size else 0.0
+    if peak == 0.0 or not np.isfinite(peak):
+        return peak
+    exponent = int(np.frexp(peak)[1])
+    v = np.ldexp(u.values, -exponent)
+    return float(np.ldexp(np.sqrt(np.sum(v * v) / u.spec.total), exponent))
 
 
 def spectral_inner(a: SpectralField, b: SpectralField) -> float:

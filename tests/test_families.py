@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fftcell.families
+import fftcell.material
 from fftcell.families import (
     checkerboard_2d,
     disk_inclusion_2d,
@@ -10,6 +12,17 @@ from fftcell.families import (
     smooth_inclusion_2d,
 )
 from fftcell.grid import GridSpec
+from fftcell.material import sample_analytic
+
+BUILT_INS = [
+    homogeneous(2.5, dim=1),
+    homogeneous(2.5),
+    sine_1d(),
+    smooth_inclusion_2d(10.0),
+    disk_inclusion_2d(1.0, 50.0),
+    checkerboard_2d(1.0, 100.0),
+    checkerboard_2d(3.0, 7.0),
+]
 
 
 class TestSamplers:
@@ -52,6 +65,44 @@ class TestSamplers:
             checkerboard_2d(bad, 1.0)
         with pytest.raises(ValueError):
             homogeneous(bad)
+
+
+class TestGridSamplers:
+    @pytest.mark.parametrize("family", BUILT_INS, ids=lambda f: f"{f.name}-{f.dim}d")
+    @pytest.mark.parametrize("n", [9, 27, 81])
+    def test_grid_path_equals_the_per_point_path_bit_for_bit(self, family, n):
+        spec = GridSpec((1.0, 1.5)[: family.dim], (n,) * family.dim)
+        a = family.sample(spec)
+        b = sample_analytic(family.sampler, spec)
+        assert a.data.shape == spec.shape
+        assert np.array_equal(a.data, b.data)
+        assert (a.c_A, a.C_A) == (b.c_A, b.C_A)
+
+    def test_checkerboard_interface_slots_take_the_geometric_mean(self):
+        # Slot 0 of each axis holds x = 0, so row 0 and column 0 are the
+        # interface lines.
+        a = checkerboard_2d(1.0, 100.0).sample(GridSpec((1.0, 1.0), (9, 9)))
+        assert np.all(a.data[0, :] == 10.0)
+        assert np.all(a.data[:, 0] == 10.0)
+        assert a.data[1, 1] == 1.0 and a.data[1, -1] == 100.0
+
+    @pytest.mark.parametrize("family", BUILT_INS, ids=lambda f: f"{f.name}-{f.dim}d")
+    def test_built_ins_never_take_the_per_point_path(self, family, monkeypatch):
+        def per_point(f, spec):
+            raise AssertionError("per-point sampling of a built-in family")
+
+        monkeypatch.setattr(fftcell.material, "sample_analytic", per_point)
+        monkeypatch.setattr(fftcell.families, "sample_analytic", per_point)
+        a = family.sample(family.default_spec((27,) * family.dim))
+        assert a.c_A > 0
+
+    def test_per_point_families_keep_the_per_point_path(self):
+        family = fftcell.families.Family(
+            "user", 2, lambda x: 2.0 if x[0] > 0 else 3.0, "low-regularity", (1.0, 1.0)
+        )
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        a = family.sample(spec)
+        assert np.array_equal(a.data, sample_analytic(family.sampler, spec).data)
 
 
 class TestParsing:

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from fftcell.grid import (
     GridSpec,
+    coordinate_grid,
     frequency,
     grid_point,
     in_lattice,
     index_grid,
     index_to_slot,
     iter_lattice,
+    next_fast_odd,
     slot_to_index,
     underlined_frequency,
 )
@@ -136,3 +138,36 @@ class TestLattice:
         assert ks.shape == (2, 3, 5)
         for slot in np.ndindex(*spec.shape):
             assert tuple(ks[(slice(None),) + slot]) == slot_to_index(spec, slot)
+
+
+class TestCoordinateGrid:
+    @given(odd_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_grid_point_bit_for_bit(self, shape):
+        spec = GridSpec(tuple(0.7 + a for a in range(len(shape))), shape)
+        x = coordinate_grid(spec)
+        for k in iter_lattice(spec):
+            slot = (slice(None),) + index_to_slot(spec, k)
+            assert np.array_equal(x[slot], grid_point(spec, k))
+
+
+class TestNextFastOdd:
+    @pytest.mark.parametrize("n, expected", [(95, 105), (243, 243), (49, 49), (1, 1), (2, 3), (11, 15)])
+    def test_values(self, n, expected):
+        assert next_fast_odd(n) == expected
+
+    def test_is_the_smallest_odd_3_5_7_smooth_size(self):
+        def smooth(m):
+            for p in (3, 5, 7):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 400):
+            m = next_fast_odd(n)
+            assert m >= n and m % 2 == 1 and smooth(m)
+            assert not any(smooth(j) for j in range(n, m) if j % 2)
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            next_fast_odd(0)

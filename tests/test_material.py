@@ -113,7 +113,90 @@ class TestCoefficientField:
         assert np.allclose(a.full_tensors[0, 1], 0.0)
 
 
+class TestLeanStorage:
+    def test_isotropic_inputs_land_on_scalar_storage(self, rng):
+        spec = GridSpec((1.0, 1.0, 1.0), (3, 5, 7))
+        scalars = 1.0 + rng.random(spec.shape)
+        packed = np.zeros((6,) + spec.shape)
+        packed[:3] = scalars
+        mats = np.einsum("ab,...->ab...", np.eye(3), scalars)
+        for a in (
+            CoefficientField.isotropic(spec, scalars),
+            CoefficientField(spec, packed),
+            CoefficientField.from_matrices(spec, mats),
+        ):
+            assert a.data.shape == spec.shape
+            assert np.array_equal(a.data, scalars)
+            assert (a.c_A, a.C_A) == (scalars.min(), scalars.max())
+            assert np.array_equal(a.components, packed)
+            assert np.array_equal(a.full_tensors, mats)
+
+    def test_unequal_diagonals_or_off_diagonals_stay_packed(self):
+        spec = GridSpec((1.0, 1.0), (3, 3))
+        for entries in ([2.0, 3.0, 0.0], [2.0, 2.0, 0.5]):
+            packed = np.broadcast_to(np.reshape(entries, (3, 1, 1)), (3, 3, 3))
+            a = CoefficientField(spec, packed)
+            assert np.array_equal(a.data, packed)
+
+    def test_every_1d_field_is_scalar(self, rng):
+        a = random_spd_field(GridSpec((1.0,), (9,)), rng)
+        assert a.data.shape == (9,)
+
+    def test_isotropic_49_cubed_keeps_one_float_per_point(self, tmp_path):
+        spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))
+        scalars = np.where(np.arange(49) < 20, 10.0, 1.0) * np.ones(spec.shape)
+        save_voxel(tmp_path / "f.json", spec, scalars, "isotropic")
+        packed = np.zeros((6,) + spec.shape)
+        packed[:3] = scalars
+        for a in (
+            CoefficientField.isotropic(spec, scalars),
+            CoefficientField(spec, packed),
+            load_voxel(tmp_path / "f.json"),
+        ):
+            held = [v for v in vars(a).values() if isinstance(v, np.ndarray)]
+            # A view would keep its whole base buffer alive: count that.
+            stored = sum(v.nbytes if v.base is None else v.base.nbytes for v in held)
+            assert stored <= 8 * spec.total
+
+    def test_isotropic_save_load_round_trip_is_byte_exact(self, tmp_path, rng):
+        spec = GridSpec((1.0, 2.0), (5, 7))
+        a = CoefficientField.isotropic(spec, 0.5 + rng.random(spec.shape))
+        save_coefficients(tmp_path / "a.json", a, kind="isotropic")
+        raw = (tmp_path / "a.bin").read_bytes()
+        assert raw == a.data.astype("<f8").tobytes()
+        b = load_voxel(tmp_path / "a.json")
+        assert np.array_equal(a.data, b.data)
+        save_coefficients(tmp_path / "b.json", b, kind="isotropic")
+        assert (tmp_path / "b.bin").read_bytes() == raw
+
+    def test_anisotropic_field_cannot_be_saved_as_isotropic(self, tmp_path, rng):
+        a = random_spd_field(GridSpec((1.0, 1.0), (5, 5)), rng)
+        with pytest.raises(MaterialDataError, match="not isotropic"):
+            save_coefficients(tmp_path / "a.json", a, kind="isotropic")
+
+    def test_subnormal_coefficient_scale_rejected(self):
+        spec = GridSpec((1.0, 1.0), (3, 3))
+        with pytest.raises(MaterialDataError, match="subnormal"):
+            CoefficientField.isotropic(spec, np.full(spec.shape, 1e-310))
+
+
 class TestApplyA:
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+    def test_isotropic_action_equals_the_full_tensor_sum_bit_for_bit(self, spec, rng):
+        a = CoefficientField.isotropic(spec, 0.5 + rng.random(spec.shape))
+        u = random_field(spec, rng)
+        dense = np.einsum("ab...,b...->a...", a.full_tensors, u.values)
+        assert np.array_equal(apply_A(a, u).values, dense)
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS[1:], ids=str)
+    def test_packed_action_equals_the_full_tensor_sum(self, spec, rng):
+        a = random_spd_field(spec, rng)
+        assert a.data.ndim == spec.dim + 1
+        u = random_field(spec, rng)
+        dense = np.einsum("ab...,b...->a...", a.full_tensors, u.values)
+        err = np.linalg.norm(apply_A(a, u).values - dense)
+        assert err <= 1e-15 * np.linalg.norm(dense)
+
     def test_identity_coefficient_is_identity(self, rng):
         spec = GridSpec((1.0, 1.0), (5, 5))
         a = sample_analytic(lambda x: 1.0, spec)

@@ -6,7 +6,7 @@ from fftcell.families import checkerboard_2d, sine_1d
 from fftcell.green import ReferenceTensor
 from fftcell.grid import GridSpec
 from fftcell.homogenize import effective_tensor
-from fftcell.material import CoefficientField, sample_analytic
+from fftcell.material import CoefficientField, MaterialDataError, sample_analytic
 from fftcell.solver import (
     LoadCase,
     SolverConfig,
@@ -225,6 +225,20 @@ class TestScaleInvariance:
             diff = np.max(np.abs(other.solution.values / t - base.solution.values))
             assert diff <= 1e-12 * scale
 
+    @pytest.mark.parametrize("s", [1e-300, 1e300], ids=str)
+    def test_residual_norm_scales_with_the_coefficients(self, s, rng):
+        load = LoadCase((1.0, 0.0))
+        for candidate in (GridField.zeros(laminate_27(1.0).spec),
+                          random_gradient_field(laminate_27(1.0).spec, rng)):
+            base = residual_norm(laminate_27(1.0), load, candidate)
+            scaled = residual_norm(laminate_27(s), load, candidate)
+            assert scaled == pytest.approx(s * base, rel=1e-12, abs=0)
+
+    def test_subnormal_coefficient_scale_is_a_data_error(self):
+        # 1 / C_A would overflow in the Green operator and turn CG to NaN.
+        with pytest.raises(MaterialDataError, match="subnormal"):
+            effective_tensor(laminate_27(1e-310), SolverConfig(tol=1e-6))
+
     def test_residual_history_is_in_the_callers_units(self):
         # residual_norm squares its field, so keep s^2 within float range.
         for s in (1e-100, 1e100):
@@ -267,6 +281,24 @@ class TestNeumannIteration:
             GridField(a.spec, cg.solution.values - ne.solution.values)
         )
         assert diff <= 2 * tol * max(1.0, l2_norm(cg.solution))
+
+    @pytest.mark.parametrize("packed_field", [False, True], ids=["scalar", "packed"])
+    def test_scalar_and_packed_contrasts_agree_with_cg(self, packed_field, rng):
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        if packed_field:
+            a = random_spd_field(spec, rng, shift=1.0)
+            ref = default_reference(a)
+        else:
+            a = checkerboard_2d(1.0, 3.0).sample(spec)
+            ref = ReferenceTensor(np.diag([2.5, 2.0]))  # non-scalar: packed contrast
+        load = LoadCase((0.6, -0.8))
+        tol = 1e-10
+        cg = solve_cg(a, load, SolverConfig(tol=tol))
+        cfg = SolverConfig(method="neumann", tol=tol, max_iter=5000, reference=ref)
+        ne = solve_neumann(a, load, cfg)
+        assert ne.converged
+        diff = l2_norm(GridField(spec, cg.solution.values - ne.solution.values))
+        assert diff <= 1e-7 * l2_norm(cg.solution)
 
     def test_small_reference_on_high_contrast_detected_as_divergent(self):
         a = checkerboard_2d(1.0, 10.0).sample(GridSpec((1.0, 1.0), (9, 9)))
