@@ -16,7 +16,7 @@ import numpy as np
 from .grid import GridSpec, index_grid
 from .material import CoefficientField, contract
 from .green import GreenOperator
-from .solver import LoadCase, SolverConfig, solve_cg, solve_neumann
+from .solver import LoadCase, SolverConfig, solve, solve_cg
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -170,9 +170,7 @@ def contrast_study(make_family, contrasts, shape, tol=1e-6, max_iter=100000):
             if load is None or load.dim != a.spec.dim:
                 load = LoadCase(tuple(np.eye(a.spec.dim)[0]))
             cfg = SolverConfig(method=method, tol=tol, max_iter=max_iter)
-            report = (
-                solve_cg(a, load, cfg) if method == "cg" else solve_neumann(a, load, cfg)
-            )
+            report = solve(a, load, cfg)
             iterations.append(max(report.iterations, 1))
             if not report.converged:
                 flags.append(f"censored:{rho:g}")

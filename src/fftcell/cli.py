@@ -171,7 +171,7 @@ def cmd_solve(args):
             energy = l2_inner(j, type(j)(a.spec, total))
             lines.append(f"effective_value {energy / E2:.17g}")
     else:
-        lines.append(f"message {report.message or 'max_iter exceeded'}")
+        lines.append(f"message {report.message}")
     _atomic_write(out / "summary.txt", lambda p: Path(p).write_text("\n".join(lines) + "\n"))
 
     if not report.converged:

@@ -37,7 +37,8 @@ from .transforms import GridField
 class ReferenceTensor:
     """Constant SPD reference tensor A0.
 
-    ``scalar_mode`` is set when A0 = lambda * I; several operators (the
+    ``scalar_mode`` is set when A0 = lambda * I, given or read from a
+    matrix that is exactly ``lambda * I``; several operators (the
     orthogonal projector, the projected CG system) require it.
     """
 
@@ -54,6 +55,8 @@ class ReferenceTensor:
         if eigs[0] <= 0:
             raise ValueError(f"reference tensor must be positive definite, eigs={eigs}")
         object.__setattr__(self, "matrix", m)
+        if self.scalar_mode is None and np.array_equal(m, m[0, 0] * np.eye(len(m))):
+            object.__setattr__(self, "scalar_mode", m[0, 0])
         if self.scalar_mode is not None:
             lam = float(self.scalar_mode)
             if lam <= 0 or not np.allclose(m, lam * np.eye(m.shape[0])):

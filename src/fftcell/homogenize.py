@@ -54,7 +54,7 @@ def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
         if not report.converged:
             raise ConvergenceError(
                 f"load case E={load.E} did not converge in "
-                f"{report.iterations} iterations ({report.message or 'max_iter'})",
+                f"{report.iterations} iterations ({report.message})",
                 tuple(reports),
             )
         totals.append(

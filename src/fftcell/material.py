@@ -209,8 +209,8 @@ def sample_analytic(f, spec: GridSpec) -> CoefficientField:
 
 def contract(data: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Pointwise ``A u`` from coefficient storage: ``data`` holds scalars
-    ``(*N)`` or packed components ``(d(d+1)/2, *N)`` (``CoefficientField.data``
-    or a contrast ``A - A0`` in the same layout), ``values`` is ``(d, *N)``.
+    ``(*N)`` or packed components ``(d(d+1)/2, *N)`` as in
+    ``CoefficientField.data``, ``values`` is ``(d, *N)``.
 
     The scalar case is one multiply, which equals the full-tensor sum
     ``a u_a + 0 u_b`` bit for bit.

@@ -1,17 +1,26 @@
-"""Matrix-free solvers for the fully discrete cell problem.
+"""Matrix-free solver for the fully discrete cell problem.
 
-Two routes are provided for the same discrete solution:
+One iteration loop solves the Galerkin system
 
-* projected conjugate gradients on ``G A e~ = -G A E`` where G is the
-  orthogonal curl-free projector (scalar reference only); the projector is
-  embedded in the operator so CG runs on full grid-shaped vectors and every
-  iterate stays in the curl-free zero-mean subspace,
-* the classical fixed-point (Neumann-series) iteration
-  ``e <- -Gamma0 (A - A0) e + E`` around a constant reference medium A0.
+    Gamma0 A e~ = -Gamma0 A E
 
-Each solve builds one :class:`~fftcell.green.GreenOperator` and applies it
-in every iteration.  All norms are the discrete mean L2 norm, matching the
-trigonometric polynomial L2 norm through the grid-value isometry.
+for the fluctuation e~ in the curl-free zero-mean subspace.  Each solve
+builds one :class:`~fftcell.green.GreenOperator` and applies the operator
+``x -> Gamma0 A x`` once per iteration.  The two methods are two step
+rules of the same recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
+
+* **cg** -- conjugate gradients with Gamma0 of the reference ``C_A I``,
+  which is the orthogonal curl-free projector G divided by C_A.  Every
+  iterate stays in the solution subspace.
+* **neumann** -- the classical fixed-point iteration
+  ``e <- E - Gamma0 (A - A0) e`` around a constant reference A0.  As
+  ``Gamma0 A0 e~ = e~`` on the subspace, it is Richardson's unit step
+  ``x += r; r -= Gamma0 A r`` (``alpha = 1``, ``p = r``) with Gamma0 of A0.
+
+For both methods ``iterations`` counts the applied updates and
+``residual_history`` starts with the initial residual.  All norms are the
+discrete mean L2 norm, matching the trigonometric polynomial L2 norm
+through the grid-value isometry.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .green import GreenOperator, ReferenceTensor
-from .material import CoefficientField, apply_A, contract, sym_component_pairs
+from .material import CoefficientField, apply_A, contract
 from .transforms import GridField, l2_norm
 
 _DIVERGENCE_WINDOW = 10  # consecutive growth steps before declaring divergence
@@ -103,49 +112,65 @@ def _inner(spec, x, y):
     return float(np.sum(x * y) / spec.total)
 
 
-def solve_cg(
+def default_reference(a: CoefficientField) -> ReferenceTensor:
+    """Classical reference choice ``A0 = (c_A + C_A)/2 * I``."""
+    return ReferenceTensor.scalar(0.5 * (a.c_A + a.C_A), a.spec.dim)
+
+
+def solve(
     a: CoefficientField,
     load: LoadCase,
     cfg: SolverConfig,
     init: GridField | None = None,
     record_iterates: bool = False,
 ) -> SolveReport:
-    """Conjugate gradients on the projected system.
+    """Solve the cell problem for one load case with ``cfg.method``.
 
-    CG runs on ``G (A / C_A) x = -G (A / C_A) E / |E|_max``.  Neither
-    scaling changes the iterates, and together they keep every norm near
-    one, so coefficients and loads of any magnitude neither underflow nor
-    overflow.  The solution is ``|E|_max x`` and ``residual_history`` is
-    reported in the caller's units, ``|G A (e~ + E)|``.
+    The loop runs on ``Gamma0 A x = -Gamma0 A E / |E|_max``.  For CG,
+    Gamma0 of ``C_A I`` divides by C_A; neither scaling changes the
+    iterates, and together they keep every norm near one, so coefficients
+    and loads of any magnitude neither underflow nor overflow.  The
+    solution is ``|E|_max x``.  ``residual_history`` is in the caller's
+    units: ``|G A (e~ + E)|`` for CG and the update norm
+    ``|Gamma0 A (e~ + E)|`` for Neumann.
 
-    The reference stopping scale ``|r_0|`` is always the zero-init residual
-    (the right-hand-side norm), so restarts with a warm start stop at the
-    same absolute accuracy.  A scalar reference in ``cfg`` induces the same
-    orthogonal projection, so it does not enter the iteration.  With
+    CG stops at ``|r| <= tol |r_0|`` with ``r_0`` the zero-init residual,
+    so a warm start stops at the cold-start accuracy; a scalar reference
+    in ``cfg`` induces the same orthogonal G and does not enter.  Neumann
+    stops at an update norm ``<= tol |E|``.  ``init`` is projected back
+    into the solution subspace before use; a zero right-hand side, solved
+    by ``x = 0``, ignores it.  A solve fails at a non-finite residual, at
+    ``max_iter``, for CG when ``pAp <= 0`` and for Neumann when the update
+    grows over ``_DIVERGENCE_WINDOW`` steps in a row.  With
     ``record_iterates`` the report carries every solution iterate.
     """
-    if cfg.method != "cg":
-        raise ValueError("config method is not 'cg'")
     spec = a.spec
-    # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to the
-    # operator output without a scaled copy of the coefficients.
-    green = GreenOperator(spec, ReferenceTensor.scalar(a.C_A, spec.dim))
+    cg = cfg.method == "cg"
     E_max = float(np.max(np.abs(load.E))) or 1.0  # E = 0 gives rhs = 0
-    units = a.C_A * E_max
+    if cg:
+        # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to
+        # the operator output without a scaled copy of the coefficients.
+        ref = ReferenceTensor.scalar(a.C_A, spec.dim)
+        units = a.C_A * E_max
+    else:
+        ref = cfg.reference if cfg.reference is not None else default_reference(a)
+        units = E_max
+    green = GreenOperator(spec, ref)
 
     def operator(values):
         return green.gamma0(contract(a.data, values))
 
-    rhs = -operator(load.expand(spec).values / E_max)
-    r0_norm = np.sqrt(_inner(spec, rhs, rhs))
-
-    if init is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
+    r = -operator(load.expand(spec).values / E_max)  # the residual of x = 0
+    if cg:
+        stop = cfg.tol * np.sqrt(_inner(spec, r, r))
+    else:
+        stop = cfg.tol * float(np.linalg.norm(np.divide(load.E, E_max)))
+    if init is None or stop == 0.0:  # a zero right-hand side is solved by x = 0
+        x = np.zeros_like(r)
     else:
         # Sanitize user input drift back into the curl-free subspace.
         x = green.G0(init.values) / E_max
-        r = rhs - operator(x)
+        r -= operator(x)
 
     rr = _inner(spec, r, r)
     history = [units * np.sqrt(rr)]
@@ -153,102 +178,64 @@ def solve_cg(
 
     def report(iterations, converged, message=""):
         return SolveReport(
-            GridField(spec, E_max * x), iterations, tuple(history), converged, "cg",
-            message=message, iterates=tuple(iterates),
+            GridField(spec, E_max * x), iterations, tuple(history), converged,
+            cfg.method, message=message, iterates=tuple(iterates),
         )
 
-    if r0_norm == 0.0 or np.sqrt(rr) <= cfg.tol * r0_norm:
-        return report(0, True)
-
-    p = r.copy()
-    for i in range(cfg.max_iter):
-        Ap = operator(p)
-        pAp = _inner(spec, p, Ap)
-        if pAp <= 0:
+    p = r.copy() if cg else r  # the Neumann step is along the residual
+    growth_streak = 0
+    for i in range(cfg.max_iter + 1):
+        if not np.isfinite(rr):
+            return report(i, False, f"non-finite residual {history[-1]} at step {i}")
+        if np.sqrt(rr) <= stop:
+            return report(i, True)
+        if growth_streak >= _DIVERGENCE_WINDOW:
+            matrix = ref.matrix.tolist()
             return report(
-                i, False, f"operator lost positive definiteness (pAp={pAp:.3e})"
+                i, False, f"divergent fixed-point iteration for reference tensor {matrix}"
             )
-        alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        if i == cfg.max_iter:
+            return report(i, False, "max_iter exceeded")
+        Ap = operator(p)
+        if cg:
+            pAp = _inner(spec, p, Ap)
+            if pAp <= 0:
+                return report(
+                    i, False, f"operator lost positive definiteness (pAp={pAp:.3e})"
+                )
+            alpha = rr / pAp
+            x += alpha * p
+            r -= alpha * Ap
+        else:
+            x += r
+            r -= Ap
         rr_new = _inner(spec, r, r)
         history.append(units * np.sqrt(rr_new))
         if record_iterates:
             iterates.append(GridField(spec, E_max * x))
-        if np.sqrt(rr_new) <= cfg.tol * r0_norm:
-            return report(i + 1, True)
-        p *= rr_new / rr
-        p += r
-        rr = rr_new
-    return report(cfg.max_iter, False)
-
-
-def default_reference(a: CoefficientField) -> ReferenceTensor:
-    """Classical reference choice ``A0 = (c_A + C_A)/2 * I``."""
-    return ReferenceTensor.scalar(0.5 * (a.c_A + a.C_A), a.spec.dim)
-
-
-def solve_neumann(
-    a: CoefficientField, load: LoadCase, cfg: SolverConfig
-) -> SolveReport:
-    """Fixed-point iteration ``e <- -Gamma0 (A - A0) e + E``.
-
-    Converges when the relative update norm drops below tol; sustained
-    update growth over a window of iterations is reported as divergence
-    (the spectral radius of the iteration operator exceeds one).
-    """
-    ref = cfg.reference if cfg.reference is not None else default_reference(a)
-    spec = a.spec
-    green = GreenOperator(spec, ref)
-    E_vals = load.expand(spec).values
-    if ref.scalar_mode is not None and a.data.shape == spec.shape:
-        contrast = a.data - ref.scalar_mode  # (a - lambda) I, stored as scalars
-    else:
-        ref_packed = [ref.matrix[i, j] for i, j in sym_component_pairs(spec.dim)]
-        contrast = a.components - np.reshape(ref_packed, (-1,) + (1,) * spec.dim)
-
-    e = E_vals.copy()
-    scale = max(l2_norm(load.expand(spec)), np.finfo(float).tiny)
-    history = []
-    growth_streak = 0
-    prev_update = None
-    converged = False
-    iterations = 0
-    for i in range(cfg.max_iter):
-        e_new = green.gamma0(contract(contrast, e))
-        np.subtract(E_vals, e_new, out=e_new)
-        e -= e_new  # e_old - e_new: the update
-        update = np.sqrt(_inner(spec, e, e))
-        history.append(update)
-        e = e_new
-        iterations = i + 1
-        if update <= cfg.tol * scale:
-            converged = True
-            break
-        if prev_update is not None and update > prev_update:
-            growth_streak += 1
-            if growth_streak >= _DIVERGENCE_WINDOW:
-                return SolveReport(
-                    GridField(spec, e - E_vals),
-                    iterations,
-                    tuple(history),
-                    False,
-                    "neumann",
-                    message=(
-                        "divergent fixed-point iteration for reference tensor "
-                        f"{ref.matrix.tolist()}"
-                    ),
-                )
+        if cg:
+            p *= rr_new / rr
+            p += r
         else:
-            growth_streak = 0
-        prev_update = update
-
-    return SolveReport(
-        GridField(spec, e - E_vals), iterations, tuple(history), converged, "neumann"
-    )
+            growth_streak = growth_streak + 1 if rr_new > rr else 0
+        rr = rr_new
 
 
-def solve(a: CoefficientField, load: LoadCase, cfg: SolverConfig, init=None):
-    if cfg.method == "cg":
-        return solve_cg(a, load, cfg, init=init)
-    return solve_neumann(a, load, cfg)
+def solve_cg(
+    a: CoefficientField,
+    load: LoadCase,
+    cfg: SolverConfig,
+    init: GridField | None = None,
+    record_iterates: bool = False,
+) -> SolveReport:
+    """Conjugate gradients: :func:`solve` with a ``method="cg"`` config."""
+    if cfg.method != "cg":
+        raise ValueError("config method is not 'cg'")
+    return solve(a, load, cfg, init=init, record_iterates=record_iterates)
+
+
+def solve_neumann(a: CoefficientField, load: LoadCase, cfg: SolverConfig) -> SolveReport:
+    """Fixed-point iteration: :func:`solve` with a ``method="neumann"`` config."""
+    if cfg.method != "neumann":
+        raise ValueError("config method is not 'neumann'")
+    return solve(a, load, cfg)

@@ -51,6 +51,10 @@ class TestReferenceTensor:
         with pytest.raises(ValueError, match="positive definite"):
             ReferenceTensor(np.diag([1.0, -1.0]))
 
+    def test_scalar_mode_read_from_an_exact_scalar_matrix(self):
+        assert ReferenceTensor(3.0 * np.eye(2)).scalar_mode == 3.0
+        assert ReferenceTensor(np.diag([3.0, 3.0 + 1e-12])).scalar_mode is None
+
     def test_inconsistent_scalar_mode_rejected(self):
         with pytest.raises(ValueError, match="scalar_mode"):
             ReferenceTensor(np.diag([1.0, 2.0]), scalar_mode=1.0)

@@ -3,10 +3,10 @@ import pytest
 
 from fftcell.analysis import dense_oracle
 from fftcell.families import checkerboard_2d, sine_1d
-from fftcell.green import ReferenceTensor
+from fftcell.green import GreenOperator, ReferenceTensor
 from fftcell.grid import GridSpec
 from fftcell.homogenize import effective_tensor
-from fftcell.material import CoefficientField, MaterialDataError, sample_analytic
+from fftcell.material import CoefficientField, MaterialDataError, contract, sample_analytic
 from fftcell.solver import (
     LoadCase,
     SolverConfig,
@@ -69,6 +69,18 @@ class TestConfigTypes:
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
         cfg = SolverConfig(method="neumann", reference=ref)
         assert cfg.reference is ref
+
+    def test_cg_accepts_an_exact_scalar_matrix(self):
+        ref = ReferenceTensor(3.0 * np.eye(2))
+        cfg = SolverConfig(method="cg", reference=ref)
+        assert cfg.reference.scalar_mode == 3.0
+
+    def test_entry_points_check_the_method(self):
+        a, load = sine_problem(n=9)
+        with pytest.raises(ValueError, match="'cg'"):
+            solve_cg(a, load, SolverConfig(method="neumann"))
+        with pytest.raises(ValueError, match="'neumann'"):
+            solve_neumann(a, load, SolverConfig(method="cg"))
 
 
 class TestApplySystem:
@@ -263,7 +275,7 @@ class TestNeumannIteration:
         )
         report = solve_neumann(a, LoadCase((1.0, 0.0)), cfg)
         assert report.converged
-        assert report.iterations == 1
+        assert report.iterations == 0
         assert np.max(np.abs(report.solution.values)) <= 1e-12
 
     def test_default_reference_is_the_bound_midpoint(self):
@@ -320,6 +332,99 @@ class TestNeumannIteration:
         assert report.converged
         assert mean_residual(report.solution) <= 1e-10
         assert curl_residual(report.solution) <= 1e-10
+
+
+def textbook_neumann_iterates(a, load, ref, steps):
+    """Fluctuations ``e_k - E`` of ``e <- E - Gamma0 (A - A0) e``, ``e_0 = E``."""
+    green = GreenOperator(a.spec, ref)
+    E = load.expand(a.spec).values
+    e = E.copy()
+    out = [e - E]
+    for _ in range(steps):
+        A0e = np.einsum("ab,b...->a...", ref.matrix, e)
+        e = E - green.gamma0(contract(a.data, e) - A0e)
+        out.append(e - E)
+    return out
+
+
+class TestOneLoop:
+    """CG and Neumann share one loop; these pin what the methods share."""
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_max_iter_exhaustion_names_its_stop_reason(self, method):
+        a, load = sine_problem(n=99)
+        report = solve(a, load, SolverConfig(method=method, tol=1e-12, max_iter=2))
+        assert not report.converged
+        assert report.iterations == 2
+        assert report.message == "max_iter exceeded"
+        assert len(report.residual_history) == 3
+
+    def test_non_finite_residual_stops_the_loop(self):
+        # Gamma0 of A0 = 1e-100 I scales each update by 1e100: the residual
+        # overflows after one step.  NaN comparisons must not hide it.
+        a = checkerboard_2d(1.0, 10.0).sample(GridSpec((1.0, 1.0), (9, 9)))
+        cfg = SolverConfig(
+            method="neumann", tol=1e-8, max_iter=3000,
+            reference=ReferenceTensor.scalar(1e-100, 2),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_neumann(a, LoadCase((1.0, 0.0)), cfg)
+        assert not report.converged
+        assert "non-finite residual" in report.message
+        assert report.iterations <= 3
+        assert not np.isfinite(report.residual_history[-1])
+
+    def test_neumann_warm_start_from_a_converged_solution(self):
+        a, load = sine_problem(n=99)
+        cfg = SolverConfig(method="neumann", tol=1e-8, max_iter=2000)
+        cold = solve(a, load, cfg)
+        warm = solve(a, load, cfg, init=cold.solution)
+        assert cold.iterations > 10
+        assert warm.converged
+        assert warm.iterations <= 2
+        assert np.allclose(warm.solution.values, cold.solution.values, atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_zero_load_is_solved_by_zero_whatever_the_warm_start(self, method):
+        a, load = sine_problem(n=99)
+        init = solve_cg(a, load, SolverConfig(tol=1e-8)).solution
+        report = solve(a, LoadCase((0.0,)), SolverConfig(method=method), init=init)
+        assert report.converged
+        assert report.iterations == 0
+        assert np.all(report.solution.values == 0.0)
+
+    @pytest.mark.parametrize("packed_field", [False, True], ids=["scalar", "packed"])
+    def test_neumann_iterates_match_the_textbook_map(self, packed_field, rng):
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        if packed_field:
+            a = random_spd_field(spec, rng, shift=1.0)
+            a = CoefficientField(spec, a.components * (3.0 / a.C_A))  # C_A < 2 c(A0)
+            ref = ReferenceTensor(np.diag([2.5, 2.0]))
+        else:
+            a = checkerboard_2d(1.0, 3.0).sample(spec)
+            ref = ReferenceTensor.scalar(2.0, 2)
+        load = LoadCase((0.6, -0.8))
+        cfg = SolverConfig(method="neumann", tol=1e-14, max_iter=30, reference=ref)
+        report = solve(a, load, cfg, record_iterates=True)
+        assert report.message == "max_iter exceeded"
+        expected = textbook_neumann_iterates(a, load, ref, cfg.max_iter)
+        scale = max(l2_norm(GridField(spec, e)) for e in expected)
+        assert len(report.iterates) == len(expected)
+        for got, want in zip(report.iterates, expected):
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * scale
+        # residual_history[k] is the update norm |e_{k+1} - e_k|.
+        updates = [l2_norm(GridField(spec, f - e)) for e, f in zip(expected, expected[1:])]
+        atol = 1e-12 * updates[0]
+        assert np.allclose(report.residual_history[:-1], updates, rtol=0, atol=atol)
+
+    def test_neumann_returns_the_first_iterate_meeting_its_stop_rule(self):
+        a, load = sine_problem(n=99)
+        cfg = SolverConfig(method="neumann", tol=1e-8, max_iter=2000)
+        report = solve_neumann(a, load, cfg)
+        stop = cfg.tol * np.linalg.norm(load.E)
+        assert report.converged
+        assert len(report.residual_history) == report.iterations + 1
+        assert report.residual_history[-1] <= stop < report.residual_history[-2]
 
 
 class TestDispatch:
