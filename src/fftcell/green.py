@@ -96,16 +96,20 @@ def gamma_hat(k, ref: ReferenceTensor, spec: GridSpec) -> np.ndarray:
 class GreenOperator:
     """Green operator of one (grid, reference) pair on the half spectrum.
 
-    Built once per solve: stores the unit vectors ``n(k)`` on the
-    ``rfftn`` half lattice; each application is one ``rfftn``, a rank-one
-    multiply per mode and one ``irfftn``.  ``ref=None`` means ``A0 = I``.
+    Built once per homogenization: stores the unit vectors ``n(k)`` on the
+    ``rfftn`` half lattice and one complex half-spectrum workspace.  Each
+    application runs numpy's per-axis passes of ``rfftn`` in place in the
+    workspace, a rank-one multiply per mode, and the passes of ``irfftn``,
+    so the output equals ``irfftn(n (n . rfftn(v)))`` bit for bit without
+    allocating.  The workspace makes an operator unsafe to share between
+    threads.  ``ref=None`` means ``A0 = I``.
     """
 
     def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
         if ref is not None and ref.dim != spec.dim:
             raise ValueError("reference tensor dimension does not match grid")
         self.spec = spec
-        self.axes = tuple(range(1, spec.dim + 1))
+        self.ref = ref
         # The first N_d // 2 + 1 storage slots of the last axis hold k_d >= 0.
         xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
         scalar = None if ref is None else ref.scalar_mode
@@ -117,22 +121,31 @@ class GreenOperator:
         self.n = xi / np.sqrt(denom)
         self.A0n = np.einsum("ab,b...->a...", metric, self.n) if general else self.n
         self.gamma_scale = 1.0 if scalar is None else 1.0 / scalar
+        self._spectrum = np.empty(self.n.shape, dtype=complex)
+        self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
-    def _apply(self, values, right, scale=1.0):
-        """``irfftn(n (scale * right . rfftn(values)))``."""
-        vhat = np.fft.rfftn(values, axes=self.axes)
-        dots = np.einsum("a...,a...->...", right, vhat)
+    def _apply(self, values, right, scale=1.0, out=None):
+        """``irfftn(n (scale * right . rfftn(values)))`` into ``out``, which
+        may be ``values``; a fresh array when ``out`` is None."""
+        spectrum, dots = self._spectrum, self._dots
+        d = self.spec.dim
+        np.fft.rfft(values, axis=d, out=spectrum)
+        for axis in range(d - 1, 0, -1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        np.einsum("a...,a...->...", right, spectrum, out=dots)
         dots *= scale
-        np.multiply(self.n, dots, out=vhat)
-        return np.fft.irfftn(vhat, s=self.spec.shape, axes=self.axes)
+        np.multiply(self.n, dots, out=spectrum)
+        for axis in range(1, d):
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        return np.fft.irfft(spectrum, n=self.spec.shape[-1], axis=d, out=out)
 
-    def gamma0(self, values: np.ndarray) -> np.ndarray:
+    def gamma0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``Gamma0 v = n (n . v_hat)`` on a ``(d, *N)`` array."""
-        return self._apply(values, self.n, self.gamma_scale)
+        return self._apply(values, self.n, self.gamma_scale, out)
 
-    def G0(self, values: np.ndarray) -> np.ndarray:
+    def G0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)`` array."""
-        return self._apply(values, self.A0n)
+        return self._apply(values, self.A0n, out=out)
 
 
 def apply_gamma0(u: GridField, ref: ReferenceTensor) -> GridField:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import CoefficientField, apply_A
-from .solver import LoadCase, SolveReport, SolverConfig, solve
+from .solver import LoadCase, SolveReport, SolverConfig, green_operator, solve
 from .transforms import GridField, l2_inner
 
 
@@ -44,12 +44,14 @@ def unit_loads(dim):
 
 
 def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
-    """Drive the d unit load cases and assemble the effective tensor."""
+    """Drive the d unit load cases, all on one Green operator, and
+    assemble the effective tensor."""
     d = a.spec.dim
+    green = green_operator(a, cfg)
     reports = []
     totals = []
     for load in unit_loads(d):
-        report = solve(a, load, cfg)
+        report = solve(a, load, cfg, green=green)
         reports.append(report)
         if not report.converged:
             raise ConvergenceError(

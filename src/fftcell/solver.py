@@ -5,9 +5,10 @@ One iteration loop solves the Galerkin system
     Gamma0 A e~ = -Gamma0 A E
 
 for the fluctuation e~ in the curl-free zero-mean subspace.  Each solve
-builds one :class:`~fftcell.green.GreenOperator` and applies the operator
-``x -> Gamma0 A x`` once per iteration.  The two methods are two step
-rules of the same recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
+runs on one :class:`~fftcell.green.GreenOperator`, which a
+homogenization shares between its load cases, and applies the operator
+``x -> Gamma0 A x`` in place once per iteration.  The two methods are two
+step rules of the same recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
 
 * **cg** -- conjugate gradients with Gamma0 of the reference ``C_A I``,
   which is the orthogonal curl-free projector G divided by C_A.  Every
@@ -108,13 +109,23 @@ def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> 
     return l2_norm(apply_system(a, total))
 
 
-def _inner(spec, x, y):
-    return float(np.sum(x * y) / spec.total)
-
-
 def default_reference(a: CoefficientField) -> ReferenceTensor:
     """Classical reference choice ``A0 = (c_A + C_A)/2 * I``."""
     return ReferenceTensor.scalar(0.5 * (a.c_A + a.C_A), a.spec.dim)
+
+
+def _solver_reference(a: CoefficientField, cfg: SolverConfig) -> ReferenceTensor:
+    if cfg.method == "cg":
+        # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to
+        # the operator output without a scaled copy of the coefficients.
+        return ReferenceTensor.scalar(a.C_A, a.spec.dim)
+    return cfg.reference if cfg.reference is not None else default_reference(a)
+
+
+def green_operator(a: CoefficientField, cfg: SolverConfig) -> GreenOperator:
+    """The Green operator that :func:`solve` iterates with for ``a`` and
+    ``cfg``; one operator serves every load case of a homogenization."""
+    return GreenOperator(a.spec, _solver_reference(a, cfg))
 
 
 def solve(
@@ -123,6 +134,7 @@ def solve(
     cfg: SolverConfig,
     init: GridField | None = None,
     record_iterates: bool = False,
+    green: GreenOperator | None = None,
 ) -> SolveReport:
     """Solve the cell problem for one load case with ``cfg.method``.
 
@@ -132,7 +144,8 @@ def solve(
     and loads of any magnitude neither underflow nor overflow.  The
     solution is ``|E|_max x``.  ``residual_history`` is in the caller's
     units: ``|G A (e~ + E)|`` for CG and the update norm
-    ``|Gamma0 A (e~ + E)|`` for Neumann.
+    ``|Gamma0 A (e~ + E)|`` for Neumann.  A converged solve whose solution
+    or history overflows float64 in those units is reported as failed.
 
     CG stops at ``|r| <= tol |r_0|`` with ``r_0`` the zero-init residual,
     so a warm start stops at the cold-start accuracy; a scalar reference
@@ -143,42 +156,64 @@ def solve(
     ``max_iter``, for CG when ``pAp <= 0`` and for Neumann when the update
     grows over ``_DIVERGENCE_WINDOW`` steps in a row.  With
     ``record_iterates`` the report carries every solution iterate.
+
+    ``green`` is the operator of :func:`green_operator`, built here when
+    not given.  Besides its workspace the loop holds five ``(d, *N)``
+    arrays (four for Neumann) and allocates nothing per iteration.
     """
     spec = a.spec
     cg = cfg.method == "cg"
     E_max = float(np.max(np.abs(load.E))) or 1.0  # E = 0 gives rhs = 0
-    if cg:
-        # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to
-        # the operator output without a scaled copy of the coefficients.
-        ref = ReferenceTensor.scalar(a.C_A, spec.dim)
-        units = a.C_A * E_max
-    else:
-        ref = cfg.reference if cfg.reference is not None else default_reference(a)
-        units = E_max
-    green = GreenOperator(spec, ref)
+    ref = _solver_reference(a, cfg)
+    if green is None:
+        green = GreenOperator(spec, ref)
+    elif (
+        green.spec != spec
+        or green.ref is None
+        or not np.array_equal(green.ref.matrix, ref.matrix)
+    ):
+        raise ValueError("green operator does not match the coefficients and config")
+    units = a.C_A * E_max if cg else E_max
 
-    def operator(values):
-        return green.gamma0(contract(a.data, values))
+    def operator(values, out):
+        return green.gamma0(contract(a.data, values, out=out), out=out)
 
-    r = -operator(load.expand(spec).values / E_max)  # the residual of x = 0
+    Ap = load.expand(spec).values  # holds E / |E|_max until the first step
+    Ap /= E_max
+    tmp = np.empty_like(Ap)
+    total = spec.total
+
+    def inner(u, v):
+        return float(np.multiply(u, v, out=tmp).sum() / total)
+
+    r = -operator(Ap, tmp)  # the residual of x = 0
     if cg:
-        stop = cfg.tol * np.sqrt(_inner(spec, r, r))
+        stop = cfg.tol * np.sqrt(inner(r, r))
     else:
         stop = cfg.tol * float(np.linalg.norm(np.divide(load.E, E_max)))
     if init is None or stop == 0.0:  # a zero right-hand side is solved by x = 0
         x = np.zeros_like(r)
     else:
         # Sanitize user input drift back into the curl-free subspace.
-        x = green.G0(init.values) / E_max
-        r -= operator(x)
+        x = green.G0(init.values)
+        x /= E_max
+        r -= operator(x, Ap)
 
-    rr = _inner(spec, r, r)
+    rr = inner(r, r)
     history = [units * np.sqrt(rr)]
     iterates = [GridField(spec, E_max * x)] if record_iterates else []
 
     def report(iterations, converged, message=""):
+        solution = np.multiply(x, E_max, out=x)
+        finite = np.isfinite(history).all() and np.isfinite(solution).all()
+        if converged and not finite:
+            converged = False
+            message = (
+                f"float64 overflow: the solution or residual for |E|_max = {E_max:.3e}"
+                " is not finite in the caller's units"
+            )
         return SolveReport(
-            GridField(spec, E_max * x), iterations, tuple(history), converged,
+            GridField(spec, solution), iterations, tuple(history), converged,
             cfg.method, message=message, iterates=tuple(iterates),
         )
 
@@ -196,20 +231,20 @@ def solve(
             )
         if i == cfg.max_iter:
             return report(i, False, "max_iter exceeded")
-        Ap = operator(p)
+        operator(p, Ap)
         if cg:
-            pAp = _inner(spec, p, Ap)
+            pAp = inner(p, Ap)
             if pAp <= 0:
                 return report(
                     i, False, f"operator lost positive definiteness (pAp={pAp:.3e})"
                 )
             alpha = rr / pAp
-            x += alpha * p
-            r -= alpha * Ap
+            x += np.multiply(p, alpha, out=tmp)
+            r -= np.multiply(Ap, alpha, out=tmp)
         else:
             x += r
             r -= Ap
-        rr_new = _inner(spec, r, r)
+        rr_new = inner(r, r)
         history.append(units * np.sqrt(rr_new))
         if record_iterates:
             iterates.append(GridField(spec, E_max * x))

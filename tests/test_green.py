@@ -291,3 +291,52 @@ class TestGreenOperator:
     def test_reference_dimension_is_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             GreenOperator(GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor.scalar(1.0, 3))
+
+
+class TestInPlaceApplication:
+    """The workspace passes of ``GreenOperator`` against the plain
+    composition of numpy's ``rfftn`` and ``irfftn``."""
+
+    SPECS = [
+        GridSpec((1.0,), (9,)),
+        GridSpec((1.0, 1.5), (9, 7)),
+        GridSpec((1.0, 0.6, 1.7), (5, 7, 3)),
+    ]
+
+    @staticmethod
+    def cases(spec):
+        """Reference tensors with the scale that Gamma0 applies."""
+        yield ReferenceTensor.scalar(2.5, spec.dim), 1.0 / 2.5
+        if spec.dim == 2:
+            yield ReferenceTensor(np.diag([2.5, 2.0])), 1.0
+
+    @staticmethod
+    def plain(green, values, right, scale):
+        axes = tuple(range(1, green.spec.dim + 1))
+        dots = np.einsum("a...,a...->...", right, np.fft.rfftn(values, axes=axes))
+        dots *= scale
+        return np.fft.irfftn(green.n * dots, s=green.spec.shape, axes=axes)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_equals_the_plain_composition_bit_for_bit(self, spec, rng):
+        for ref, scale in self.cases(spec):
+            green = GreenOperator(spec, ref)
+            u = random_field(spec, rng).values
+            gamma = self.plain(green, u, green.n, scale)
+            g0 = self.plain(green, u, green.A0n, 1.0)
+            assert np.array_equal(green.gamma0(u), gamma)
+            assert np.array_equal(green.G0(u), g0)
+            for apply, expected in ((green.gamma0, gamma), (green.G0, g0)):
+                inplace = u.copy()
+                assert apply(inplace, out=inplace) is inplace
+                assert np.array_equal(inplace, expected)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_results_without_out_are_fresh_arrays(self, spec, rng):
+        green = GreenOperator(spec, ReferenceTensor.scalar(2.5, spec.dim))
+        first = green.gamma0(random_field(spec, rng).values)
+        kept = first.copy()
+        second = green.G0(random_field(spec, rng).values)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, green._spectrum)
+        assert np.array_equal(first, kept)

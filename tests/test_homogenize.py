@@ -3,8 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import fftcell.homogenize
 from fftcell.families import sine_1d
-from fftcell.green import ReferenceTensor, project_J
+from fftcell.green import GreenOperator, ReferenceTensor, project_J
 from fftcell.grid import GridSpec
 from fftcell.homogenize import (
     ConvergenceError,
@@ -15,8 +16,8 @@ from fftcell.homogenize import (
     write_history_csv,
     write_tensor_csv,
 )
-from fftcell.material import sample_analytic
-from fftcell.solver import LoadCase, SolverConfig, solve_cg
+from fftcell.material import CoefficientField, sample_analytic
+from fftcell.solver import LoadCase, SolverConfig, solve, solve_cg
 from fftcell.transforms import GridField, l2_norm
 
 from conftest import random_spd_field
@@ -80,6 +81,33 @@ class TestEffectiveTensor:
     def test_unit_loads_are_the_canonical_basis(self):
         loads = unit_loads(3)
         assert [l.E for l in loads] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_one_green_operator_serves_every_load_case(self, method, rng, monkeypatch):
+        spec = GridSpec((1.0, 1.0, 1.0), (15, 15, 15))
+        a = CoefficientField.isotropic(
+            spec, np.where(rng.random(spec.shape) < 0.3, 10.0, 1.0)
+        )
+        cfg = SolverConfig(method=method, tol=1e-8, max_iter=2000)
+        built = []
+        init = GreenOperator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GreenOperator, "__init__", counting_init)
+        shared = effective_tensor(a, cfg)
+        assert len(built) == 1
+        # The same homogenization with an operator built inside each solve
+        # besides the unused shared one.
+        monkeypatch.setattr(
+            fftcell.homogenize, "solve", lambda a, load, cfg, green: solve(a, load, cfg)
+        )
+        built.clear()
+        per_case = effective_tensor(a, cfg)
+        assert len(built) == 1 + spec.dim
+        assert np.array_equal(shared.matrix, per_case.matrix)
 
 
 class TestSolutionStructure:

@@ -8,6 +8,7 @@ from fftcell.material import (
     MaterialDataError,
     VoxelFormatError,
     apply_A,
+    contract,
     load_field,
     load_voxel,
     sample_analytic,
@@ -237,6 +238,50 @@ class TestApplyA:
         u = random_field(GridSpec((1.0,), (7,)), rng)
         with pytest.raises(ValueError, match="specs"):
             apply_A(a, u)
+
+
+def unblocked_contract(data, values):
+    """The packed contraction as one pass over the whole grid: diagonal
+    products first, then each off-diagonal pair in storage order."""
+    d = values.shape[0]
+    out = data[:d] * values
+    for comp, (a, b) in enumerate(sym_component_pairs(d)[d:], start=d):
+        out[a] += data[comp] * values[b]
+        out[b] += data[comp] * values[a]
+    return out
+
+
+class TestContractInto:
+    # Both grids span several blocks of the packed contraction, the last
+    # one partial.
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec((1.0, 1.0), (81, 243)), GridSpec((1.0, 1.0, 1.0), (31, 25, 27))],
+        ids=str,
+    )
+    def test_packed_out_equals_the_plain_result_bit_for_bit(self, spec, rng):
+        a = random_spd_field(spec, rng)
+        u = random_field(spec, rng).values
+        plain = contract(a.data, u)
+        out = np.full_like(u, np.nan)
+        assert contract(a.data, u, out=out) is out
+        assert np.array_equal(out, plain)
+        assert np.array_equal(plain, unblocked_contract(a.data, u))
+
+    def test_scalar_data_may_write_into_its_input(self, rng):
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        a = CoefficientField.isotropic(spec, 0.5 + rng.random(spec.shape))
+        u = random_field(spec, rng).values
+        expected = contract(a.data, u)
+        assert contract(a.data, u, out=u) is u
+        assert np.array_equal(u, expected)
+
+    def test_packed_data_refuses_to_write_into_its_input(self, rng):
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        a = random_spd_field(spec, rng)
+        u = random_field(spec, rng).values
+        with pytest.raises(ValueError, match="input"):
+            contract(a.data, u, out=u)
 
 
 class TestVoxelFiles:

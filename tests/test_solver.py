@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fftcell.solver import (
     SolverConfig,
     apply_system,
     default_reference,
+    green_operator,
     residual_norm,
     solve,
     solve_cg,
@@ -374,6 +377,29 @@ class TestOneLoop:
         assert report.iterations <= 3
         assert not np.isfinite(report.residual_history[-1])
 
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_overflow_in_the_callers_units_is_not_convergence(self, method):
+        # The loop converges on the normalized system, but |E|_max = 1e308
+        # times C_A, or times the fluctuation, leaves float64.
+        a = checkerboard_2d(1.0, 10.0).sample(GridSpec((1.0, 1.0), (9, 9)))
+        with np.errstate(over="ignore"):
+            report = solve(a, LoadCase((1e308, 1e308)), SolverConfig(method=method))
+        assert not report.converged
+        assert "overflow" in report.message
+        finite = np.isfinite(report.residual_history).all()
+        assert not (finite and np.isfinite(report.solution.values).all())
+
+    def test_a_given_green_operator_must_match(self):
+        a, load = sine_problem(n=99)
+        cg, neumann = SolverConfig(), SolverConfig(method="neumann", max_iter=2000)
+        assert np.array_equal(
+            solve(a, load, cg, green=green_operator(a, cg)).solution.values,
+            solve(a, load, cg).solution.values,
+        )
+        for green in (green_operator(a, neumann), GreenOperator(a.spec)):
+            with pytest.raises(ValueError, match="green operator"):
+                solve(a, load, cg, green=green)
+
     def test_neumann_warm_start_from_a_converged_solution(self):
         a, load = sine_problem(n=99)
         cfg = SolverConfig(method="neumann", tol=1e-8, max_iter=2000)
@@ -441,3 +467,30 @@ class TestDispatch:
         a = sample_analytic(lambda x: 4.0, spec)
         r = residual_norm(a, LoadCase((1.0, 1.0)), GridField.zeros(spec))
         assert r <= 1e-13
+
+
+class TestMemory:
+    def test_one_solve_holds_a_fixed_number_of_fields(self):
+        # Five (d, *N) arrays, the half-spectrum workspace, n(k) and the
+        # dot products come to about 6.9 fields of d * N * 8 bytes; nothing
+        # grows with the iteration count.
+        spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))
+        rng = np.random.default_rng(3)
+        a = CoefficientField.isotropic(
+            spec, np.where(rng.random(spec.shape) < 0.5, 100.0, 1.0)
+        )
+        field_bytes = spec.dim * spec.total * 8
+        peaks = []
+        for max_iter in (5, 50):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cfg = SolverConfig(tol=1e-12, max_iter=max_iter)
+                report = solve(a, LoadCase((1.0, 0.0, 0.0)), cfg)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before) / field_bytes)
+            finally:
+                tracemalloc.stop()
+            assert report.iterations == max_iter
+            del report
+        assert max(peaks) <= 7.5
+        assert abs(peaks[1] - peaks[0]) <= 0.1
