@@ -207,9 +207,6 @@ def sample_analytic(f, spec: GridSpec) -> CoefficientField:
     return CoefficientField.from_matrices(spec, matrices)
 
 
-_CONTRACT_CHUNK = 1 << 14  # grid points per block of the packed contraction
-
-
 def contract(
     data: np.ndarray, values: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -221,29 +218,18 @@ def contract(
 
     The scalar case is one multiply, which equals the full-tensor sum
     ``a u_a + 0 u_b`` bit for bit.  The packed case adds the off-diagonal
-    products to the diagonal ones in blocks of about ``_CONTRACT_CHUNK``
-    points along the first grid axis, so its one scratch row stays in
-    cache; each entry sees the same operations in the same order as an
-    unblocked sum.
+    products to the diagonal ones through one ``(*N)`` scratch row.
     """
     if data.ndim < values.ndim:
         return np.multiply(data, values, out=out)
-    if out is None:
-        out = np.empty_like(values, dtype=np.result_type(data, values))
-    elif np.may_share_memory(out, values):
+    if out is not None and np.may_share_memory(out, values):
         raise ValueError("packed contraction cannot write into its input")
     d = values.shape[0]
-    off_diagonal = list(enumerate(sym_component_pairs(d)[d:], start=d))
-    step = max(1, _CONTRACT_CHUNK // values[0, 0].size)
-    scratch = np.empty_like(out[0, :step])
-    for start in range(0, values.shape[1], step):
-        block = slice(start, start + step)
-        c, v, o = data[:, block], values[:, block], out[:, block]
-        tmp = scratch[: v.shape[1]]
-        np.multiply(c[:d], v, out=o)
-        for comp, (a, b) in off_diagonal:
-            o[a] += np.multiply(c[comp], v[b], out=tmp)
-            o[b] += np.multiply(c[comp], v[a], out=tmp)
+    out = np.multiply(data[:d], values, out=out)
+    tmp = np.empty_like(values[0])
+    for comp, (a, b) in enumerate(sym_component_pairs(d)[d:], start=d):
+        out[a] += np.multiply(data[comp], values[b], out=tmp)
+        out[b] += np.multiply(data[comp], values[a], out=tmp)
     return out
 
 

@@ -240,9 +240,9 @@ class TestApplyA:
             apply_A(a, u)
 
 
-def unblocked_contract(data, values):
-    """The packed contraction as one pass over the whole grid: diagonal
-    products first, then each off-diagonal pair in storage order."""
+def reference_contract(data, values):
+    """The packed contraction written out: diagonal products first, then
+    each off-diagonal pair in storage order."""
     d = values.shape[0]
     out = data[:d] * values
     for comp, (a, b) in enumerate(sym_component_pairs(d)[d:], start=d):
@@ -252,8 +252,6 @@ def unblocked_contract(data, values):
 
 
 class TestContractInto:
-    # Both grids span several blocks of the packed contraction, the last
-    # one partial.
     @pytest.mark.parametrize(
         "spec",
         [GridSpec((1.0, 1.0), (81, 243)), GridSpec((1.0, 1.0, 1.0), (31, 25, 27))],
@@ -266,7 +264,7 @@ class TestContractInto:
         out = np.full_like(u, np.nan)
         assert contract(a.data, u, out=out) is out
         assert np.array_equal(out, plain)
-        assert np.array_equal(plain, unblocked_contract(a.data, u))
+        assert np.array_equal(plain, reference_contract(a.data, u))
 
     def test_scalar_data_may_write_into_its_input(self, rng):
         spec = GridSpec((1.0, 1.0), (9, 9))
