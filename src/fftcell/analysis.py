@@ -92,11 +92,9 @@ def prolong_coeffs(coarse: SpectralField, fine_spec: GridSpec) -> np.ndarray:
     if any(nf < nc for nf, nc in zip(fine_spec.shape, coarse.spec.shape)):
         raise ValueError("fine grid must dominate the coarse grid componentwise")
     out = np.zeros((fine_spec.dim,) + fine_spec.shape, dtype=complex)
-    slot_axes = [
-        np.fft.fftfreq(nc, d=1.0 / nc).round().astype(int) % nf
-        for nc, nf in zip(coarse.spec.shape, fine_spec.shape)
-    ]
-    out[np.ix_(np.arange(fine_spec.dim), *slot_axes)] = coarse.coeffs
+    k = index_grid(coarse.spec)
+    slots = tuple(k[a] % nf for a, nf in enumerate(fine_spec.shape))
+    out[(slice(None),) + slots] = coarse.coeffs
     return out
 
 
@@ -235,7 +233,8 @@ def approximation_study(s, grids, orders=(0, 1), max_index=520):
     the reference lattice are a documented truncation of the ideal tail.
     Returns ``{("PN"|"QN", r): StudyResult}`` for a 1-d cell.
     """
-    grids = [int(g) for g in grids]
+    grids = sorted(int(g) for g in grids)  # coarsest first
+    axis = [GridSpec((1.0,), (n,)).C_h for n in grids]
     ref_spec, coeffs = _decay_coefficients(max_index, s, 1)
     k_ref = index_grid(ref_spec)[0]
     xiu2 = k_ref.astype(float) ** 2
@@ -244,30 +243,20 @@ def approximation_study(s, grids, orders=(0, 1), max_index=520):
     results = {}
     for r in orders:
         weight = xiu2**r
-        pn_vals, qn_vals, axis = [], [], []
+        errors = {"PN": [], "QN": []}
         for n in grids:
-            spec = GridSpec((1.0,), (n,))
             inside = (k_ref >= -(n // 2)) & (k_ref <= n // 2)
             pn_err2 = float(np.sum(weight[~inside] * coeffs[~inside] ** 2))
-            # Interpolation coefficients: alias sums u_hat(k + m N).
-            qn_err2 = pn_err2
-            for k in range(-(n // 2), n // 2 + 1):
-                alias = coeffs[(k_ref % n) == (k % n)]
-                q_k = float(np.sum(alias))
-                u_k = float(coeffs[k_ref == k][0])
-                w_k = float(k * k) ** r if k != 0 else 1.0
-                qn_err2 += w_k * (q_k - u_k) ** 2
-            axis.append(spec.C_h)
-            pn_vals.append(np.sqrt(pn_err2))
-            qn_vals.append(np.sqrt(qn_err2))
-        order_idx = np.argsort(axis)[::-1]  # coarsest first
-        axis = [axis[i] for i in order_idx]
-        results[("PN", r)] = _build_result(
-            axis, [pn_vals[i] for i in order_idx], label=f"PN:r={r}:s={s}"
-        )
-        results[("QN", r)] = _build_result(
-            axis, [qn_vals[i] for i in order_idx], label=f"QN:r={r}:s={s}"
-        )
+            # Q_N differs from P_N on each kept mode k by its aliases
+            # u_hat(k + m N), m != 0: the discarded modes of the residue
+            # class k mod N, summed by one bincount.
+            aliases = np.bincount(
+                k_ref[~inside] % n, weights=coeffs[~inside], minlength=n
+            )[k_ref[inside] % n]
+            errors["PN"].append(np.sqrt(pn_err2))
+            errors["QN"].append(np.sqrt(pn_err2 + np.sum(weight[inside] * aliases**2)))
+        for op, values in errors.items():
+            results[(op, r)] = _build_result(axis, values, label=f"{op}:r={r}:s={s}")
     return results
 
 

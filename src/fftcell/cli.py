@@ -232,8 +232,18 @@ def cmd_study(args):
     return EXIT_OK
 
 
+# Every option's value when the command line leaves it out; a --config file
+# overrides these.  Subcommands set only the flags given, so a flag wins
+# over the file even when it equals its default.
+_DEFAULTS = dict(
+    material=None, family=None, grid=None, load=None, solver="cg", tol="1e-6",
+    max_iter="10000", ref_lambda=None, out="out", kind="contrast",
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="fftcell")
+    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -241,39 +251,40 @@ def build_parser():
         p.add_argument("--material", help="voxel file (header .json path)")
         p.add_argument("--family", help="built-in family, e.g. checkerboard:1,100")
         p.add_argument("--grid", help="odd grid shape, e.g. 81,81")
-        p.add_argument("--load", default=None, help="mean gradient, e.g. 1,0")
-        p.add_argument("--solver", default="cg", choices=["cg", "neumann"])
-        p.add_argument("--tol", default="1e-6")
-        p.add_argument("--max-iter", dest="max_iter", default="10000")
-        p.add_argument("--ref-lambda", dest="ref_lambda", default=None)
-        p.add_argument("--out", default="out")
+        p.add_argument("--load", help="mean gradient, e.g. 1,0")
+        p.add_argument("--solver", choices=["cg", "neumann"])
+        p.add_argument("--tol")
+        p.add_argument("--max-iter", dest="max_iter")
+        p.add_argument("--ref-lambda", dest="ref_lambda")
+        p.add_argument("--out")
 
     for name in ("validate", "solve", "homogenize", "study"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         add_common(p)
         if name == "study":
-            p.add_argument("--kind", default="contrast",
-                           choices=["contrast", "convergence", "approximation"])
+            p.add_argument("--kind", choices=["contrast", "convergence", "approximation"])
     return parser
 
 
-def _apply_config(args):
-    if args.config:
-        file_values = _read_config(args.config)
-        parser_defaults = build_parser().parse_args([args.command]).__dict__
-        for key, value in file_values.items():
-            if key not in parser_defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            # Flags win: only fill values still at their parser default.
-            if getattr(args, key) == parser_defaults[key]:
-                setattr(args, key, value)
-    return args
+def _config_values(argv):
+    """The key/value pairs of the --config file named in ``argv``, if any."""
+    pre = argparse.ArgumentParser(prog="fftcell", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    values = _read_config(path)
+    for key in values:
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+    return values
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
     try:
-        args = _apply_config(args)
+        parser.set_defaults(**_config_values(argv))
+        args = parser.parse_args(argv)
         if args.command == "validate":
             return cmd_validate(args)
         if args.command == "solve":

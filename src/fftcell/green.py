@@ -106,21 +106,22 @@ class GreenOperator:
     """
 
     def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
-        if ref is not None and ref.dim != spec.dim:
+        if ref is None:
+            ref = ReferenceTensor.scalar(1.0, spec.dim)
+        if ref.dim != spec.dim:
             raise ValueError("reference tensor dimension does not match grid")
         self.spec = spec
         self.ref = ref
         # The first N_d // 2 + 1 storage slots of the last axis hold k_d >= 0.
         xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
-        scalar = None if ref is None else ref.scalar_mode
-        general = ref is not None and scalar is None
+        scalar = ref.scalar_mode
         # A scalar reference cancels from G0 and scales Gamma0 by 1/lambda.
-        metric = ref.matrix if general else np.eye(spec.dim)
+        metric = np.eye(spec.dim) if scalar else ref.matrix
         denom = np.einsum("a...,ab,b...->...", xi, metric, xi)
         denom[(0,) * spec.dim] = np.inf  # n(0) = 0
         self.n = xi / np.sqrt(denom)
-        self.A0n = np.einsum("ab,b...->a...", metric, self.n) if general else self.n
-        self.gamma_scale = 1.0 if scalar is None else 1.0 / scalar
+        self.A0n = self.n if scalar else np.einsum("ab,b...->a...", metric, self.n)
+        self.gamma_scale = 1.0 / scalar if scalar else 1.0
         self._spectrum = np.empty(self.n.shape, dtype=complex)
         self._dots = np.empty(self.n.shape[1:], dtype=complex)
 

@@ -43,6 +43,7 @@ class GridSpec:
     half_periods: tuple
     shape: tuple
     spacings: tuple = field(init=False)
+    total: int = field(init=False, repr=False)  # number of grid points |N|
 
     def __post_init__(self):
         Y = tuple(float(y) for y in self.half_periods)
@@ -61,15 +62,11 @@ class GridSpec:
         object.__setattr__(
             self, "spacings", tuple(2.0 * y / n for y, n in zip(Y, N))
         )
+        object.__setattr__(self, "total", math.prod(N))
 
     @property
     def dim(self):
         return len(self.shape)
-
-    @property
-    def total(self):
-        """Number of grid points |N|."""
-        return int(np.prod(self.shape))
 
     @property
     def c_h(self):

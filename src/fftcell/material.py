@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridSpec, grid_point, index_to_slot, iter_lattice
+from .grid import GridSpec, coordinate_grid
 from .transforms import GridField
 
 
@@ -51,10 +51,7 @@ def _unpack(packed, dim):
 
 
 def _eigen_range(packed, dim):
-    """Pointwise min/max eigenvalues of packed tensors, closed form for d <= 3."""
-    if dim == 1:
-        lam = packed[0]
-        return lam, lam
+    """Pointwise min/max eigenvalues of packed tensors (d >= 2), closed form for d <= 3."""
     if dim == 2:
         a, c, b = packed
         mean = 0.5 * (a + c)
@@ -186,25 +183,25 @@ class CoefficientField:
 
 def sample_analytic(f, spec: GridSpec) -> CoefficientField:
     """Sample a pointwise tensor function at the grid points, one call per
-    point (the path for user callables; built-in families sample on the
-    whole coordinate grid at once).
+    point in storage order (the path for user callables; built-in families
+    sample on the whole coordinate grid at once).
 
     ``f`` maps a point to a symmetric d x d matrix, or to a scalar
     (interpreted as an isotropic tensor a(x) * I).
     """
     d = spec.dim
-    matrices = np.empty((d, d) + spec.shape)
-    for k in iter_lattice(spec):
-        slot = index_to_slot(spec, k)
-        val = np.asarray(f(grid_point(spec, k)), dtype=float)
+    matrices = np.empty((d, d, spec.total))
+    eye = np.eye(d)
+    for j, x in enumerate(coordinate_grid(spec).reshape(d, -1).T):
+        val = np.asarray(f(x), dtype=float)
         if val.ndim == 0:
-            val = float(val) * np.eye(d)
+            val = float(val) * eye
         if val.shape != (d, d):
             raise MaterialDataError(
-                f"sampler returned shape {val.shape} at lattice index {k}"
+                f"sampler returned shape {val.shape} at grid point {tuple(x.tolist())}"
             )
-        matrices[(slice(None), slice(None)) + slot] = val
-    return CoefficientField.from_matrices(spec, matrices)
+        matrices[:, :, j] = val
+    return CoefficientField.from_matrices(spec, matrices.reshape((d, d) + spec.shape))
 
 
 def contract(
@@ -242,7 +239,7 @@ def apply_A(a: CoefficientField, u: GridField) -> GridField:
 
 # ---------------------------------------------------------------------------
 # Voxel file format: <name>.json header + <name>.bin float64-LE payload in
-# row-major shifted storage order (the order of iter_lattice).
+# the grid storage order: row-major, FFT-shifted (see fftcell.grid).
 
 _KIND_COMPONENTS = {
     "isotropic": lambda d: 1,

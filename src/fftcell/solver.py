@@ -167,11 +167,7 @@ def solve(
     ref = _solver_reference(a, cfg)
     if green is None:
         green = GreenOperator(spec, ref)
-    elif (
-        green.spec != spec
-        or green.ref is None
-        or not np.array_equal(green.ref.matrix, ref.matrix)
-    ):
+    elif green.spec != spec or not np.array_equal(green.ref.matrix, ref.matrix):
         raise ValueError("green operator does not match the coefficients and config")
     units = a.C_A * E_max if cg else E_max
 

@@ -21,17 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
 from .grid import (
     GridSpec,
-    frequency,
+    coordinate_grid,
     frequency_grid,
-    grid_point,
     in_lattice,
     index_to_slot,
-    iter_lattice,
     underlined_frequency_grid,
 )
+
+# Imaginary residue allowed after an inverse transform of Hermitian data,
+# relative to max(1, max |real part|).  Anything larger signals broken
+# Hermitian symmetry upstream and is treated as an error.
+IMAG_RESIDUE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,10 @@ def dft_inverse(s: SpectralField) -> GridField:
     real = raw.real
     scale = max(1.0, float(np.max(np.abs(real))) if real.size else 1.0)
     residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > tolerances.IMAG_RESIDUE * scale:
+    if residue > IMAG_RESIDUE * scale:
         raise ValueError(
             f"non-Hermitian spectral data: imaginary residue {residue:.3e} "
-            f"exceeds {tolerances.IMAG_RESIDUE:.1e} * {scale:.3e}"
+            f"exceeds {IMAG_RESIDUE:.1e} * {scale:.3e}"
         )
     return GridField(s.spec, real)
 
@@ -109,16 +111,16 @@ def interpolate(f, spec: GridSpec) -> GridField:
     """Sample a continuous d-vector function at the grid points.
 
     Together with :func:`trig_eval` this realizes the interpolation
-    projection onto trigonometric polynomials.
+    projection onto trigonometric polynomials.  ``f`` is called once per
+    grid point, in storage order.
     """
-    values = np.empty((spec.dim,) + spec.shape)
-    for k in iter_lattice(spec):
-        slot = index_to_slot(spec, k)
-        sample = np.asarray(f(grid_point(spec, k)), dtype=float).reshape(spec.dim)
-        values[(slice(None),) + slot] = sample
+    d = spec.dim
+    values = np.empty((d, spec.total))
+    for j, x in enumerate(coordinate_grid(spec).reshape(d, -1).T):
+        values[:, j] = np.asarray(f(x), dtype=float).reshape(d)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample encountered during interpolation")
-    return GridField(spec, values)
+    return GridField(spec, values.reshape((d,) + spec.shape))
 
 
 def truncate(fourier_coeffs, spec: GridSpec) -> SpectralField:
@@ -138,14 +140,12 @@ def truncate(fourier_coeffs, spec: GridSpec) -> SpectralField:
 
 def trig_eval(s: SpectralField, x) -> np.ndarray:
     """Evaluate ``sum_k u_hat(k) phi_k(x)`` at an arbitrary point; real output."""
-    x = np.asarray(x, dtype=float).reshape(s.spec.dim)
-    total = np.zeros(s.spec.dim, dtype=complex)
-    for k in iter_lattice(s.spec):
-        slot = index_to_slot(s.spec, k)
-        phase = np.exp(1j * np.pi * float(frequency(s.spec, k) @ x))
-        total += s.coeffs[(slice(None),) + slot] * phase
+    d = s.spec.dim
+    x = np.asarray(x, dtype=float).reshape((d,) + (1,) * d)
+    phase = np.exp(1j * np.pi * np.sum(frequency_grid(s.spec) * x, axis=0))
+    total = (s.coeffs * phase).reshape(d, -1).sum(axis=1)
     scale = max(1.0, float(np.max(np.abs(total.real))))
-    if float(np.max(np.abs(total.imag))) > tolerances.IMAG_RESIDUE * scale:
+    if float(np.max(np.abs(total.imag))) > IMAG_RESIDUE * scale:
         raise ValueError("non-Hermitian spectral data: complex point value")
     return total.real
 

@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,29 @@ class TestApproximationStudy:
         results = approximation_study(2.0, [9, 17, 33])
         for p, q in zip(results[("PN", 0)].values, results[("QN", 0)].values):
             assert p <= q + 1e-14
+
+    @pytest.mark.parametrize("s", [2.0, 3.5])
+    def test_interpolation_error_matches_exact_alias_sums(self, s):
+        # Exact rational arithmetic on the float coefficients: Q_N differs
+        # from P_N on each kept mode by the sum of its discarded aliases.
+        grids, max_index = [9, 17, 33], 150
+        result = approximation_study(s, grids, orders=(0, 1), max_index=max_index)
+        ks = range(-max_index, max_index + 1)
+        coeffs = {k: Fraction(float(abs(k) ** -(s + 1.0))) for k in ks if k != 0}
+        coeffs[0] = Fraction(0)
+        for r in (0, 1):
+            expected = []
+            for n in grids:
+                kept = range(-(n // 2), n // 2 + 1)
+                err2 = sum(
+                    Fraction(k * k) ** r * c**2 for k, c in coeffs.items() if abs(k) > n // 2
+                )
+                for k in kept:
+                    alias = sum(c for m, c in coeffs.items() if m % n == k % n and m != k)
+                    err2 += Fraction(max(k * k, 1)) ** r * alias**2
+                expected.append(float(err2) ** 0.5)
+            got = result[("QN", r)].values
+            assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
     def test_aliased_single_mode_distance(self):
         # A pure mode one full lattice period above index k interpolates to

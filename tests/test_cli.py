@@ -108,6 +108,31 @@ class TestSolve:
         assert code == 1
         assert "did not converge" in capsys.readouterr().err
 
+    def test_ref_lambda_sets_the_neumann_reference(self, tmp_path):
+        args = ["solve", "--family", "checkerboard:1,2", "--grid", "27,27",
+                "--solver", "neumann", "--tol", "1e-10"]
+        assert run(args + ["--out", str(tmp_path / "default")]) == 0
+        assert run(args + ["--ref-lambda", "2", "--out", str(tmp_path / "lam2")]) == 0
+
+        def summary(name):
+            lines = (tmp_path / name / "summary.txt").read_text().split("\n")
+            return dict(line.split(" ", 1) for line in lines if line)
+
+        default, lam2 = summary("default"), summary("lam2")
+        # The default reference is (1 + 2) / 2 = 1.5; lambda = 2 converges
+        # more slowly to the same discrete solution.
+        assert int(lam2["iterations"]) > int(default["iterations"])
+        assert float(lam2["effective_value"]) == pytest.approx(
+            float(default["effective_value"]), rel=1e-9
+        )
+
+    def test_non_positive_ref_lambda_rejected(self, tmp_path, capsys):
+        code = run(["solve", "--family", "checkerboard:1,2", "--grid", "27,27",
+                    "--solver", "neumann", "--ref-lambda", "-1",
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "positive definite" in capsys.readouterr().err
+
     def test_invalid_tolerance_rejected(self, tmp_path):
         code = run(
             [
@@ -169,11 +194,31 @@ class TestConfigFile:
         ) == 0
         assert "c_A          7" in capsys.readouterr().out
 
+    def test_given_flags_win_even_at_their_defaults(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "family = checkerboard:1,10\ngrid = 27,27\ntol = 1e-2\nsolver = neumann\n"
+        )
+        out = tmp_path / "out"
+        assert run(
+            ["solve", "--config", str(cfg), "--tol", "1e-6", "--solver", "cg",
+             "--out", str(out)]
+        ) == 0
+        assert "method cg" in (out / "summary.txt").read_text()
+        history = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)[:, 1]
+        assert history[-1] <= 1e-6 * history[0] < history[-2]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("famly = sine1d\n")
         assert run(["validate", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_the_subcommand_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = study\nfamily = homogeneous:2\ngrid = 9,9\n")
+        assert run(["validate", "--config", str(cfg)]) == 2
+        assert "unknown config key 'command'" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

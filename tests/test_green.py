@@ -247,6 +247,16 @@ class TestGreenOperator:
                 g0_out[at], block @ ref.matrix @ u_hat[at], rtol=0, atol=1e-14
             )
 
+    def test_no_reference_is_the_unit_scalar_reference(self, rng):
+        spec = self.SPEC_3D
+        default = GreenOperator(spec)
+        unit = GreenOperator(spec, ReferenceTensor.scalar(1.0, spec.dim))
+        assert np.array_equal(default.ref.matrix, np.eye(spec.dim))
+        assert default.ref.scalar_mode == 1.0
+        u = random_field(spec, rng).values
+        assert np.array_equal(default.gamma0(u), unit.gamma0(u))
+        assert np.array_equal(default.G0(u), unit.G0(u))
+
     def test_G0_is_idempotent_for_a_general_reference(self, rng):
         spec = self.SPEC_3D
         green = GreenOperator(spec, random_spd_reference(spec.dim, rng))

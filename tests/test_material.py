@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fftcell.families import checkerboard_2d, sine_1d
-from fftcell.grid import GridSpec
+from fftcell.grid import GridSpec, grid_point, iter_lattice
 from fftcell.material import (
     CoefficientField,
     MaterialDataError,
@@ -55,6 +55,49 @@ class TestSampling:
 
         with pytest.raises(MaterialDataError, match="grid slot"):
             sample_analytic(f, spec)
+
+    def test_scalar_and_matrix_samples_may_mix(self):
+        spec = GridSpec((1.0, 1.5), (9, 7))
+
+        def value(x):
+            return 2.0 + np.sin(np.pi * x[0]) * np.cos(x[1])
+
+        def matrix(x):
+            if x[0] > 0:
+                return np.array([[value(x), 0.3], [0.3, 4.0]])
+            return value(x) * np.eye(2)
+
+        def mixed(x):
+            return matrix(x) if x[0] > 0 else value(x)
+
+        got, expected = sample_analytic(mixed, spec), sample_analytic(matrix, spec)
+        assert got.data.shape == (3,) + spec.shape
+        assert np.array_equal(got.data, expected.data)
+
+    def test_wrong_sample_shape_names_the_point(self):
+        spec = GridSpec((1.0, 1.0), (5, 5))
+
+        def f(x):
+            return np.ones(3) if x[0] > 0.5 and x[1] < -0.5 else 1.0
+
+        with pytest.raises(
+            MaterialDataError, match=r"shape \(3,\) at grid point \(0\.8, -0\.8\)"
+        ):
+            sample_analytic(f, spec)
+
+    @pytest.mark.parametrize("shape", [(27,), (9, 7), (5, 3, 7)], ids=str)
+    def test_the_sampler_sees_every_grid_point_once_in_storage_order(self, shape):
+        spec = GridSpec(tuple(0.5 + 0.3 * a for a in range(len(shape))), shape)
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return 1.0
+
+        sample_analytic(f, spec)
+        expected = [grid_point(spec, k) for k in iter_lattice(spec)]
+        assert len(seen) == len(expected) == spec.total
+        assert all(np.array_equal(x, y) for x, y in zip(seen, expected))
 
 
 class TestCoefficientField:

@@ -118,6 +118,18 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="non-finite"):
             interpolate(lambda x: [np.inf], spec)
 
+    @pytest.mark.parametrize("shape", [(27,), (9, 7), (5, 3, 7)], ids=str)
+    def test_equals_the_per_point_lattice_walk_bit_for_bit(self, shape):
+        spec = GridSpec(tuple(0.5 + 0.3 * a for a in range(len(shape))), shape)
+
+        def f(x):
+            return np.sin(np.pi * x) + 0.1 * np.sum(x)
+
+        expected = np.empty((spec.dim,) + spec.shape)
+        for k in iter_lattice(spec):
+            expected[(slice(None),) + index_to_slot(spec, k)] = f(grid_point(spec, k))
+        assert np.array_equal(interpolate(f, spec).values, expected)
+
 
 class TestTruncate:
     def test_identity_on_resolved_modes(self):
@@ -149,6 +161,17 @@ class TestTrigEval:
             point_val = trig_eval(s, grid_point(spec, k))
             grid_val = u.values[(slice(None),) + index_to_slot(spec, k)]
             assert np.allclose(point_val, grid_val, atol=1e-12)
+
+    def test_matches_the_per_mode_sum_off_the_grid(self, rng):
+        spec = GridSpec((0.7, 1.3, 1.1), (5, 3, 7))
+        s = dft_forward(random_field(spec, rng))
+        for x in rng.uniform(-2.0, 2.0, size=(5, 3)):
+            expected = sum(
+                coeff(s, k) * np.exp(1j * np.pi * float(frequency(spec, k) @ x))
+                for k in iter_lattice(spec)
+            )
+            got = trig_eval(s, x)
+            assert np.max(np.abs(got - expected.real)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_constant_spectrum_evaluates_to_constant(self):
         spec = GridSpec((1.0,), (3,))
