@@ -109,18 +109,16 @@ def spectral_error(coarse_field: GridField, fine_field: GridField) -> float:
 # Studies
 
 
-def convergence_study(family, grids, cfg: SolverConfig, load=None, ref_factor=4):
-    """Solution error vs max grid spacing over a sequence of odd grids.
+def convergence_study(family, grids, cfg: SolverConfig):
+    """Solution error vs max grid spacing over a sequence of odd grids,
+    for the first unit load.
 
-    The reference is a run on a ``ref_factor`` x finer grid (next odd size);
-    errors are discrete L2 norms after spectral prolongation to the
-    reference grid.
+    The reference is a run on a 4 x finer grid (next odd size); errors are
+    discrete L2 norms after spectral prolongation to the reference grid.
     """
     grids = [tuple(g) for g in grids]
-    dim = family.dim
-    if load is None:
-        load = LoadCase(tuple(np.eye(dim)[0]))
-    ref_shape = tuple(ref_factor * n + 1 for n in grids[-1])
+    load = LoadCase(tuple(np.eye(family.dim)[0]))
+    ref_shape = tuple(4 * n + 1 for n in grids[-1])
     ref_spec = family.default_spec(ref_shape)
     ref_report = solve_cg(family.sample(ref_spec), load, cfg)
     if not ref_report.converged:

@@ -4,15 +4,13 @@ and run convergence/contrast/approximation studies.
 A run is described by an optional key=value config file plus flags; flags
 win.  Exit codes: 0 success, 1 non-convergence, 2 config or format
 violation, 3 data validation failure.  Output files are written atomically
-(temp file + rename) so interrupted runs never leave half-written CSVs.
+(temp file + rename) so interrupted runs never leave half-written files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,7 @@ from .homogenize import (
     write_history_csv,
     write_tensor_csv,
 )
-from .material import MaterialDataError, VoxelFormatError, load_voxel, save_field
+from .material import MaterialDataError, VoxelFormatError, _atomic_write, load_voxel, save_field
 from .solver import LoadCase, SolverConfig, solve
 from .transforms import l2_inner
 
@@ -46,21 +44,6 @@ EXIT_DATA = 3
 
 class ConfigError(ValueError):
     pass
-
-
-def _atomic_write(path, writer):
-    """Run ``writer(tmp_path)`` then rename onto ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _read_config(path):

@@ -25,7 +25,7 @@ reconstructs the real field exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +37,16 @@ from .transforms import GridField
 class ReferenceTensor:
     """Constant SPD reference tensor A0.
 
-    ``scalar_mode`` is set when A0 = lambda * I, given or read from a
-    matrix that is exactly ``lambda * I``; several operators (the
-    orthogonal projector, the projected CG system) require it.
+    ``scalar_mode`` is lambda when the matrix is exactly ``lambda * I``,
+    else None; several operators (the orthogonal projector, the projected
+    CG system) require it.  ``c_bound`` and ``C_bound`` are the extreme
+    eigenvalues of A0.
     """
 
     matrix: np.ndarray
-    scalar_mode: float | None = None
+    scalar_mode: float | None = field(init=False)
+    c_bound: float = field(init=False)
+    C_bound: float = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -54,31 +57,19 @@ class ReferenceTensor:
         eigs = np.linalg.eigvalsh(m)
         if eigs[0] <= 0:
             raise ValueError(f"reference tensor must be positive definite, eigs={eigs}")
+        scalar = np.array_equal(m, m[0, 0] * np.eye(len(m)))
         object.__setattr__(self, "matrix", m)
-        if self.scalar_mode is None and np.array_equal(m, m[0, 0] * np.eye(len(m))):
-            object.__setattr__(self, "scalar_mode", m[0, 0])
-        if self.scalar_mode is not None:
-            lam = float(self.scalar_mode)
-            if lam <= 0 or not np.allclose(m, lam * np.eye(m.shape[0])):
-                raise ValueError("scalar_mode inconsistent with matrix")
-            object.__setattr__(self, "scalar_mode", lam)
+        object.__setattr__(self, "scalar_mode", float(m[0, 0]) if scalar else None)
+        object.__setattr__(self, "c_bound", float(eigs[0]))
+        object.__setattr__(self, "C_bound", float(eigs[-1]))
 
     @classmethod
     def scalar(cls, lam, dim):
-        lam = float(lam)
-        return cls(lam * np.eye(dim), scalar_mode=lam)
+        return cls(float(lam) * np.eye(dim))
 
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    @property
-    def c_bound(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    @property
-    def C_bound(self):
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
 
     @property
     def contrast(self):

@@ -35,7 +35,7 @@ class GridSpec:
     Parameters
     ----------
     half_periods : tuple of float
-        Cell half-periods ``Y_a > 0``; the cell is ``prod [-Y_a, Y_a]``.
+        Finite cell half-periods ``Y_a > 0``; the cell is ``prod [-Y_a, Y_a]``.
     shape : tuple of int
         Grid sizes ``N_a``, each positive and odd.
     """
@@ -50,13 +50,12 @@ class GridSpec:
         N = tuple(int(n) for n in self.shape)
         if len(Y) != len(N) or len(N) == 0:
             raise ValueError("half_periods and shape must have equal, positive length")
-        if any(y <= 0 for y in Y):
-            raise ValueError(f"half_periods must be positive, got {Y}")
-        for n in N:
-            if n <= 0 or n % 2 == 0:
-                raise ValueError(
-                    f"grid shape must consist of positive odd integers, got {N}"
-                )
+        if not all(0 < y < math.inf for y in Y):
+            raise ValueError(f"half_periods must be positive and finite, got {Y}")
+        if N != tuple(self.shape) or any(n <= 0 or n % 2 == 0 for n in N):
+            raise ValueError(
+                f"grid shape must consist of positive odd integers, got {self.shape}"
+            )
         object.__setattr__(self, "half_periods", Y)
         object.__setattr__(self, "shape", N)
         object.__setattr__(

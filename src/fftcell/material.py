@@ -11,6 +11,7 @@ carries no iterative eigensolver dependency.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +52,22 @@ def _unpack(packed, dim):
 
 
 def _eigen_range(packed, dim):
-    """Pointwise min/max eigenvalues of packed tensors (d >= 2), closed form for d <= 3."""
+    """Pointwise min/max eigenvalues of packed tensors (d >= 2).
+
+    The forms run on the field scaled by the power of two of its max-abs
+    entry, so the squares and cubes of the entries neither overflow nor
+    underflow at any scale.  Power-of-two scaling is exact, so at normal
+    scales the bounds are those of the unscaled forms, bit for bit except
+    where numpy's vectorized ``** 3`` rounds the scaled cube differently
+    (by one ulp, at about one point in 10^5).
+    """
+    exponent = int(np.frexp(np.max(np.abs(packed)))[1])
+    lam_min, lam_max = _unit_eigen_range(np.ldexp(packed, -exponent), dim)
+    return np.ldexp(lam_min, exponent), np.ldexp(lam_max, exponent)
+
+
+def _unit_eigen_range(packed, dim):
+    """Pointwise min/max eigenvalues, closed form for d <= 3."""
     if dim == 2:
         a, c, b = packed
         mean = 0.5 * (a + c)
@@ -253,8 +269,25 @@ def _header_path(path):
     return p if p.suffix == ".json" else p.with_suffix(".json")
 
 
+def _atomic_write(path, writer):
+    """Run ``writer(tmp_path)`` then rename onto ``path``, so an interrupted
+    write leaves ``path`` as it was and no temporary file behind.  The
+    writer creates the file, so it gets the permissions of a plain write."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
-    """Write a header/payload pair; payload shape must match ``kind``."""
+    """Write a header/payload pair atomically, payload first; payload shape
+    must match ``kind``."""
     if kind not in _KIND_COMPONENTS:
         raise MaterialDataError(f"unknown voxel kind {kind!r}")
     ncomp = _KIND_COMPONENTS[kind](spec.dim)
@@ -271,8 +304,8 @@ def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
         "order": "row-major-shifted",
     }
     hpath = _header_path(path)
-    hpath.write_text(json.dumps(header, indent=2) + "\n")
-    payload.tofile(hpath.with_suffix(".bin"))
+    _atomic_write(hpath.with_suffix(".bin"), payload.tofile)
+    _atomic_write(hpath, lambda tmp: Path(tmp).write_text(json.dumps(header, indent=2) + "\n"))
 
 
 def save_coefficients(path, a: CoefficientField, kind="symmetric-tensor"):
@@ -301,16 +334,18 @@ def load_header(path):
         raise VoxelFormatError(
             f"unsupported voxel encoding {header['dtype']}/{header['order']}"
         )
+    if not isinstance(header["shape"], list) or len(header["shape"]) != header["dim"]:
+        raise VoxelFormatError(
+            f"voxel header {hpath}: dim {header['dim']} does not match shape {header['shape']}"
+        )
     return header
 
 
 def _load_payload(path, header):
     try:
         spec = GridSpec(tuple(header["half_periods"]), tuple(header["shape"]))
-    except ValueError as exc:
-        raise VoxelFormatError(
-            f"voxel header violates the odd-grid requirement: {exc}"
-        ) from exc
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise VoxelFormatError(f"voxel header describes no valid odd grid: {exc}") from exc
     kind = header["kind"]
     if kind not in _KIND_COMPONENTS:
         raise VoxelFormatError(f"unknown voxel kind {kind!r}")
@@ -325,20 +360,10 @@ def _load_payload(path, header):
     return spec, kind, data.reshape(shape)
 
 
-def load_voxel(path, spec_override: GridSpec | None = None) -> CoefficientField:
-    """Load a coefficient field from a voxel file pair.
-
-    ``spec_override`` replaces the header's cell geometry (the shape must
-    still match the payload).
-    """
-    header = load_header(path)
-    spec, kind, payload = _load_payload(path, header)
-    if spec_override is not None:
-        if spec_override.shape != spec.shape:
-            raise MaterialDataError(
-                f"override shape {spec_override.shape} != file shape {spec.shape}"
-            )
-        spec = spec_override
+def load_voxel(path) -> CoefficientField:
+    """Load a coefficient field from a voxel file pair, on the cell
+    geometry of its header."""
+    spec, kind, payload = _load_payload(path, load_header(path))
     if kind == "isotropic":
         return CoefficientField.isotropic(spec, payload)
     if kind == "symmetric-tensor":

@@ -73,8 +73,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (0 < self.tol < 1):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         if (
             self.method == "cg"
             and self.reference is not None
@@ -132,7 +132,6 @@ def solve(
     a: CoefficientField,
     load: LoadCase,
     cfg: SolverConfig,
-    init: GridField | None = None,
     record_iterates: bool = False,
     green: GreenOperator | None = None,
 ) -> SolveReport:
@@ -147,15 +146,14 @@ def solve(
     ``|Gamma0 A (e~ + E)|`` for Neumann.  A converged solve whose solution
     or history overflows float64 in those units is reported as failed.
 
-    CG stops at ``|r| <= tol |r_0|`` with ``r_0`` the zero-init residual,
-    so a warm start stops at the cold-start accuracy; a scalar reference
-    in ``cfg`` induces the same orthogonal G and does not enter.  Neumann
-    stops at an update norm ``<= tol |E|``.  ``init`` is projected back
-    into the solution subspace before use; a zero right-hand side, solved
-    by ``x = 0``, ignores it.  A solve fails at a non-finite residual, at
-    ``max_iter``, for CG when ``pAp <= 0`` and for Neumann when the update
-    grows over ``_DIVERGENCE_WINDOW`` steps in a row.  With
-    ``record_iterates`` the report carries every solution iterate.
+    Every solve starts from ``x = 0``.  CG stops at ``|r| <= tol |r_0|``;
+    a scalar reference in ``cfg`` induces the same orthogonal G and does
+    not enter.  Neumann stops at an update norm ``<= tol |E|``.  A zero
+    load is solved by ``x = 0`` in 0 iterations.  A solve fails at a
+    non-finite residual, at ``max_iter``, for CG when ``pAp <= 0`` and for
+    Neumann when the update grows over ``_DIVERGENCE_WINDOW`` steps in a
+    row.  With ``record_iterates`` the report carries every solution
+    iterate.
 
     ``green`` is the operator of :func:`green_operator`, built here when
     not given.  Besides its workspace the loop holds five ``(d, *N)``
@@ -182,20 +180,13 @@ def solve(
     def inner(u, v):
         return float(np.multiply(u, v, out=tmp).sum() / total)
 
+    x = np.zeros_like(Ap)
     r = -operator(Ap, tmp)  # the residual of x = 0
+    rr = inner(r, r)
     if cg:
-        stop = cfg.tol * np.sqrt(inner(r, r))
+        stop = cfg.tol * np.sqrt(rr)
     else:
         stop = cfg.tol * float(np.linalg.norm(np.divide(load.E, E_max)))
-    if init is None or stop == 0.0:  # a zero right-hand side is solved by x = 0
-        x = np.zeros_like(r)
-    else:
-        # Sanitize user input drift back into the curl-free subspace.
-        x = green.G0(init.values)
-        x /= E_max
-        r -= operator(x, Ap)
-
-    rr = inner(r, r)
     history = [units * np.sqrt(rr)]
     iterates = [GridField(spec, E_max * x)] if record_iterates else []
 
@@ -256,13 +247,12 @@ def solve_cg(
     a: CoefficientField,
     load: LoadCase,
     cfg: SolverConfig,
-    init: GridField | None = None,
     record_iterates: bool = False,
 ) -> SolveReport:
     """Conjugate gradients: :func:`solve` with a ``method="cg"`` config."""
     if cfg.method != "cg":
         raise ValueError("config method is not 'cg'")
-    return solve(a, load, cfg, init=init, record_iterates=record_iterates)
+    return solve(a, load, cfg, record_iterates=record_iterates)
 
 
 def solve_neumann(a: CoefficientField, load: LoadCase, cfg: SolverConfig) -> SolveReport:

@@ -197,13 +197,13 @@ def spectral_inner(a: SpectralField, b: SpectralField) -> float:
     return float(np.sum(a.coeffs * np.conj(b.coeffs)).real)
 
 
-def interpolation_constant(r: float, s: float, dim: int, rel_tail=1e-6):
+def interpolation_constant(r: float, s: float, dim: int):
     """Constant ``c_{r,s}`` of the interpolation error bound.
 
     Evaluates ``1 + d^r rho_h^{2r} S`` with rho_h = 1 and
     ``S = sum_{m in N_0^d \\ 0} |m|^{-2s}`` by direct summation over
     ``|m|_inf <= M``, growing M until the integral-comparison tail bound
-    drops below ``rel_tail`` of the partial sum.  Requires ``s > d/2``.
+    drops below 1e-6 of the partial sum.  Requires ``s > d/2``.
 
     Returns the constant for unit spacing ratio; multiply the lattice-sum
     term by ``rho_h^{2r}`` externally for anisotropic grids.
@@ -220,6 +220,6 @@ def interpolation_constant(r: float, s: float, dim: int, rel_tail=1e-6):
         # Integral comparison over the region outside the |m|_inf <= M box:
         # sum_{|m|_inf > M} |m|^{-2s} <= d * int_{|t| > M} ... <= c M^{d - 2s}.
         tail = dim * (2.0**dim) * M ** (dim - 2 * s) / (2 * s - dim)
-        if tail < rel_tail * partial:
+        if tail < 1e-6 * partial:
             return float(np.sqrt(1.0 + dim**r * partial))
         M *= 2

@@ -55,10 +55,6 @@ class TestReferenceTensor:
         assert ReferenceTensor(3.0 * np.eye(2)).scalar_mode == 3.0
         assert ReferenceTensor(np.diag([3.0, 3.0 + 1e-12])).scalar_mode is None
 
-    def test_inconsistent_scalar_mode_rejected(self):
-        with pytest.raises(ValueError, match="scalar_mode"):
-            ReferenceTensor(np.diag([1.0, 2.0]), scalar_mode=1.0)
-
 
 class TestGammaHat:
     def test_zero_block_at_the_mean_mode(self):

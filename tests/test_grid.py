@@ -41,7 +41,7 @@ class TestGridSpec:
         for h, n, y in zip(spec.spacings, spec.shape, spec.half_periods):
             assert h * n == pytest.approx(2.0 * y, rel=1e-15)
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 6), (0,), (-3,)])
+    @pytest.mark.parametrize("shape", [(4,), (3, 6), (0,), (-3,), (3.7, 9)])
     def test_even_or_nonpositive_shapes_rejected(self, shape):
         with pytest.raises(ValueError, match="odd"):
             GridSpec((1.0,) * len(shape), shape)
@@ -49,6 +49,11 @@ class TestGridSpec:
     def test_nonpositive_half_period_rejected(self):
         with pytest.raises(ValueError):
             GridSpec((0.0,), (3,))
+
+    @pytest.mark.parametrize("y", [float("nan"), float("inf")])
+    def test_non_finite_half_period_rejected(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec((1.0, y), (3, 3))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

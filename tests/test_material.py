@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from fftcell.material import (
     CoefficientField,
     MaterialDataError,
     VoxelFormatError,
+    _atomic_write,
     apply_A,
     contract,
     load_field,
@@ -120,6 +124,19 @@ class TestCoefficientField:
             eigs = np.linalg.eigvalsh(mats)
             assert a.c_A == pytest.approx(float(eigs[:, 0].min()), rel=1e-10)
             assert a.C_A == pytest.approx(float(eigs[:, -1].max()), rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e300], ids=str)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_eigen_bounds_scale_with_the_tensors(self, dim, s):
+        # One nonzero off-diagonal: the closed forms square and cube it.
+        M = np.diag([1.0, 2.0, 3.0][:dim])
+        M[0, 1] = M[1, 0] = 0.5
+        eigs = np.linalg.eigvalsh(M)
+        spec = GridSpec((1.0,) * dim, (3,) * dim)
+        field = np.broadcast_to(M.reshape((dim, dim) + (1,) * dim), (dim, dim) + spec.shape)
+        a = CoefficientField.from_matrices(spec, s * field)
+        assert a.c_A / s == pytest.approx(eigs[0], rel=1e-14)
+        assert a.C_A / s == pytest.approx(eigs[-1], rel=1e-14)
 
     def test_rayleigh_quotients_lie_within_bounds(self, rng):
         spec = GridSpec((1.0, 1.0, 1.0), (3, 3, 3))
@@ -359,6 +376,35 @@ class TestVoxelFiles:
         with pytest.raises(VoxelFormatError, match="odd"):
             load_voxel(tmp_path / "f.json")
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{"dim": 2}, {"half_periods": [1.0, float("nan"), 1.0]}, {"shape": [3, 3, float("inf")]}],
+        ids=["dim", "nan", "inf"],
+    )
+    def test_inconsistent_or_non_finite_header_rejected(self, tmp_path, edit):
+        spec = GridSpec((1.0, 1.0, 1.0), (3, 3, 3))
+        save_voxel(tmp_path / "f.json", spec, np.ones(spec.shape), "isotropic")
+        header = json.loads((tmp_path / "f.json").read_text())
+        (tmp_path / "f.json").write_text(json.dumps(header | edit))
+        with pytest.raises(VoxelFormatError):
+            load_voxel(tmp_path / "f.json")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_interrupted_write_leaves_the_target_and_no_temporary(self, tmp_path, existing):
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_text("old\n")
+
+        def writer(tmp):
+            Path(tmp).write_text("partial")
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _atomic_write(target, writer)
+        assert [f.name for f in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
+
     def test_payload_size_mismatch_rejected(self, tmp_path):
         spec = GridSpec((1.0,), (9,))
         save_voxel(tmp_path / "f.json", spec, np.ones(spec.shape), "isotropic")
@@ -385,10 +431,3 @@ class TestVoxelFiles:
         save_field(tmp_path / "u.json", random_field(spec, rng))
         with pytest.raises(MaterialDataError, match="coefficient"):
             load_voxel(tmp_path / "u.json")
-
-    def test_spec_override_replaces_cell_geometry(self, tmp_path):
-        spec = GridSpec((1.0,), (9,))
-        save_voxel(tmp_path / "f.json", spec, np.ones(spec.shape), "isotropic")
-        override = GridSpec((2.5,), (9,))
-        a = load_voxel(tmp_path / "f.json", spec_override=override)
-        assert a.spec.half_periods == (2.5,)
