@@ -52,6 +52,8 @@ class ReferenceTensor:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"reference tensor must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("reference tensor entries must be finite")
         if not np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.abs(m).max())):
             raise ValueError("reference tensor must be symmetric")
         eigs = np.linalg.eigvalsh(m)
@@ -65,7 +67,7 @@ class ReferenceTensor:
 
     @classmethod
     def scalar(cls, lam, dim):
-        return cls(float(lam) * np.eye(dim))
+        return cls(np.diag(np.full(dim, float(lam))))
 
     @property
     def dim(self):

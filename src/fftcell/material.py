@@ -4,8 +4,7 @@ SPD validation and ellipticity bounds.
 Isotropic data ``a(x) I`` is stored as one scalar per grid point.  Other
 data is stored packed symmetric: diagonal entries first, then the strict
 upper triangle row by row, giving ``d (d + 1) / 2`` components per grid
-point.  Pointwise eigenvalue bounds use closed forms for d <= 3 so the core
-carries no iterative eigensolver dependency.
+point.
 """
 
 from __future__ import annotations
@@ -52,51 +51,10 @@ def _unpack(packed, dim):
 
 
 def _eigen_range(packed, dim):
-    """Pointwise min/max eigenvalues of packed tensors (d >= 2).
-
-    The forms run on the field scaled by the power of two of its max-abs
-    entry, so the squares and cubes of the entries neither overflow nor
-    underflow at any scale.  Power-of-two scaling is exact, so at normal
-    scales the bounds are those of the unscaled forms, bit for bit except
-    where numpy's vectorized ``** 3`` rounds the scaled cube differently
-    (by one ulp, at about one point in 10^5).
-    """
-    exponent = int(np.frexp(np.max(np.abs(packed)))[1])
-    lam_min, lam_max = _unit_eigen_range(np.ldexp(packed, -exponent), dim)
-    return np.ldexp(lam_min, exponent), np.ldexp(lam_max, exponent)
-
-
-def _unit_eigen_range(packed, dim):
-    """Pointwise min/max eigenvalues, closed form for d <= 3."""
-    if dim == 2:
-        a, c, b = packed
-        mean = 0.5 * (a + c)
-        radius = np.sqrt(0.25 * (a - c) ** 2 + b**2)
-        return mean - radius, mean + radius
-    if dim == 3:
-        # Trigonometric solution of the characteristic cubic (Smith 1961)
-        # for B = A - q I with q the mean eigenvalue.
-        q = (packed[0] + packed[1] + packed[2]) / 3.0
-        b0, b1, b2 = packed[0] - q, packed[1] - q, packed[2] - q
-        x, y, z = packed[3], packed[4], packed[5]  # B01, B02, B12
-        p2 = (b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (x * x + y * y + z * z)) / 6.0
-        p = np.sqrt(np.maximum(p2, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            detB = b0 * (b1 * b2 - z * z) - x * (x * b2 - z * y) + y * (x * z - b1 * y)
-            r = np.where(p > 0, detB / (2.0 * np.maximum(p, 1e-300) ** 3), 0.0)
-        r = np.clip(r, -1.0, 1.0)
-        phi = np.arccos(r) / 3.0
-        lam_max = q + 2.0 * p * np.cos(phi)
-        lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-        return lam_min, lam_max
-    # Generic fallback for untypical dimensions.
-    grid_shape = packed.shape[1:]
-    mats = np.moveaxis(_unpack(packed, dim).reshape(dim, dim, -1), -1, 0)
-    eigs = np.linalg.eigvalsh(mats)
-    return (
-        eigs[:, 0].reshape(grid_shape),
-        eigs[:, -1].reshape(grid_shape),
-    )
+    """Pointwise min/max eigenvalues of packed tensors (d >= 2), by one
+    batched LAPACK call, which scales each matrix into range itself."""
+    eigs = np.linalg.eigvalsh(np.moveaxis(_unpack(packed, dim), (0, 1), (-2, -1)))
+    return eigs[..., 0], eigs[..., -1]
 
 
 @dataclass(frozen=True)
@@ -327,6 +285,8 @@ def load_header(path):
         header = json.loads(hpath.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise VoxelFormatError(f"cannot read voxel header {hpath}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise VoxelFormatError(f"voxel header {hpath} is not a JSON object")
     for key in ("dim", "shape", "half_periods", "kind", "dtype", "order"):
         if key not in header:
             raise VoxelFormatError(f"voxel header {hpath} missing field {key!r}")
@@ -347,11 +307,14 @@ def _load_payload(path, header):
     except (ValueError, TypeError, OverflowError) as exc:
         raise VoxelFormatError(f"voxel header describes no valid odd grid: {exc}") from exc
     kind = header["kind"]
-    if kind not in _KIND_COMPONENTS:
+    if not isinstance(kind, str) or kind not in _KIND_COMPONENTS:
         raise VoxelFormatError(f"unknown voxel kind {kind!r}")
     ncomp = _KIND_COMPONENTS[kind](spec.dim)
     bpath = _header_path(path).with_suffix(".bin")
-    data = np.fromfile(bpath, dtype="<f8")
+    try:
+        data = np.fromfile(bpath, dtype="<f8")
+    except OSError as exc:
+        raise VoxelFormatError(f"cannot read voxel payload {bpath}: {exc}") from exc
     if data.size != ncomp * spec.total:
         raise VoxelFormatError(
             f"payload {bpath} holds {data.size} values, expected {ncomp * spec.total}"

@@ -32,6 +32,12 @@ class TestValidate:
         assert run(["validate", "--material", str(path)]) == 2
         assert "odd" in capsys.readouterr().err
 
+    def test_missing_payload_exits_with_format_code(self, tmp_path, capsys):
+        path = make_isotropic_voxel(tmp_path)
+        path.with_suffix(".bin").unlink()
+        assert run(["validate", "--material", str(path)]) == 2
+        assert "format error" in capsys.readouterr().err
+
     def test_non_spd_voxel_exits_with_data_code(self, tmp_path, capsys):
         spec = GridSpec((1.0,), (9,))
         payload = np.ones(spec.shape)
@@ -126,12 +132,31 @@ class TestSolve:
             float(default["effective_value"]), rel=1e-9
         )
 
-    def test_non_positive_ref_lambda_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lam, message",
+        [("-1", "positive definite"), ("inf", "finite"), ("nan", "finite")],
+    )
+    def test_non_positive_ref_lambda_rejected(self, tmp_path, capsys, lam, message):
         code = run(["solve", "--family", "checkerboard:1,2", "--grid", "27,27",
-                    "--solver", "neumann", "--ref-lambda", "-1",
+                    "--solver", "neumann", "--ref-lambda", lam,
                     "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "positive definite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid", "9,x"], "bad grid"),
+            (["--grid", ","], "empty grid"),
+            (["--grid", "9,9", "--load", "1,x"], "bad load"),
+            (["--grid", "9,9", "--load", "1,0,0"], "load has 3 components"),
+        ],
+        ids=["grid", "empty-grid", "load", "load-length"],
+    )
+    def test_malformed_grid_or_load_rejected(self, tmp_path, capsys, flags, message):
+        code = run(["solve", "--family", "checkerboard:1,2", "--out", str(tmp_path / "out")] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_invalid_tolerance_rejected(self, tmp_path):
         code = run(

@@ -65,6 +65,12 @@ class TestSamplers:
             checkerboard_2d(bad, 1.0)
         with pytest.raises(ValueError):
             homogeneous(bad)
+        with pytest.raises(ValueError, match="positive"):
+            disk_inclusion_2d(bad, 1.0)
+
+    def test_smooth_inclusion_contrast_below_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            smooth_inclusion_2d(0.5)
 
 
 class TestGridSamplers:

@@ -47,6 +47,19 @@ class TestReferenceTensor:
         with pytest.raises(ValueError, match="symmetric"):
             ReferenceTensor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.diag([1.0, np.inf]), "finite"),
+            (np.full((2, 2), np.nan), "finite"),
+        ],
+        ids=["non-square", "inf", "nan"],
+    )
+    def test_non_square_or_non_finite_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            ReferenceTensor(matrix)
+
     def test_indefinite_matrix_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             ReferenceTensor(np.diag([1.0, -1.0]))

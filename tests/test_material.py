@@ -117,7 +117,7 @@ class TestCoefficientField:
         assert np.array_equal(a.components, b.components)
 
     def test_eigen_bounds_match_dense_eigensolver(self, rng):
-        for spec in SMALL_SPECS:
+        for spec in SMALL_SPECS + [GridSpec((1.0,) * 4, (3, 3, 3, 3))]:
             a = random_spd_field(spec, rng)
             d = spec.dim
             mats = np.moveaxis(a.full_tensors.reshape(d, d, -1), -1, 0)
@@ -128,7 +128,7 @@ class TestCoefficientField:
     @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e300], ids=str)
     @pytest.mark.parametrize("dim", [2, 3])
     def test_eigen_bounds_scale_with_the_tensors(self, dim, s):
-        # One nonzero off-diagonal: the closed forms square and cube it.
+        # One nonzero off-diagonal, so the bounds are not the diagonal.
         M = np.diag([1.0, 2.0, 3.0][:dim])
         M[0, 1] = M[1, 0] = 0.5
         eigs = np.linalg.eigvalsh(M)
@@ -137,6 +137,32 @@ class TestCoefficientField:
         a = CoefficientField.from_matrices(spec, s * field)
         assert a.c_A / s == pytest.approx(eigs[0], rel=1e-14)
         assert a.C_A / s == pytest.approx(eigs[-1], rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9], ids=str)
+    def test_bounds_near_a_repeated_eigenvalue(self, eps):
+        # R diag(eps, eps, 1) R^T with one random rotation per point: the
+        # double eigenvalue eps is where analytic 3 x 3 solvers lose
+        # about sqrt(machine eps) * C_A.
+        spec = GridSpec((1.0, 1.0, 1.0), (5, 5, 5))
+        rng = np.random.default_rng(5)
+        R, _ = np.linalg.qr(rng.standard_normal(spec.shape + (3, 3)))
+        mats = np.einsum("...ab,b,...cb->ac...", R, np.array([eps, eps, 1.0]), R)
+        a = CoefficientField.from_matrices(spec, mats)
+        assert a.c_A == pytest.approx(eps, rel=1e-5)
+        assert a.C_A == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda spec: CoefficientField(spec, np.ones((2,) + spec.shape)), "coefficient data shape"),
+            (lambda spec: CoefficientField.from_matrices(spec, np.ones((2, 2, 3, 5))), "matrices shape"),
+            (lambda spec: CoefficientField.isotropic(spec, np.ones((3, 5))), "scalar field shape"),
+        ],
+        ids=["packed", "matrices", "isotropic"],
+    )
+    def test_wrong_data_shape_rejected(self, build, match):
+        with pytest.raises(MaterialDataError, match=match):
+            build(GridSpec((1.0, 1.0), (3, 3)))
 
     def test_rayleigh_quotients_lie_within_bounds(self, rng):
         spec = GridSpec((1.0, 1.0, 1.0), (3, 3, 3))
@@ -378,8 +404,14 @@ class TestVoxelFiles:
 
     @pytest.mark.parametrize(
         "edit",
-        [{"dim": 2}, {"half_periods": [1.0, float("nan"), 1.0]}, {"shape": [3, 3, float("inf")]}],
-        ids=["dim", "nan", "inf"],
+        [
+            {"dim": 2},
+            {"half_periods": [1.0, float("nan"), 1.0]},
+            {"shape": [3, 3, float("inf")]},
+            {"kind": ["isotropic"]},
+            {"dtype": "f32le"},
+        ],
+        ids=["dim", "nan", "inf", "list-kind", "dtype"],
     )
     def test_inconsistent_or_non_finite_header_rejected(self, tmp_path, edit):
         spec = GridSpec((1.0, 1.0, 1.0), (3, 3, 3))
@@ -412,6 +444,34 @@ class TestVoxelFiles:
         with pytest.raises(VoxelFormatError, match="expected"):
             load_voxel(tmp_path / "f.json")
 
+    def test_missing_payload_rejected(self, tmp_path):
+        spec = GridSpec((1.0,), (9,))
+        save_voxel(tmp_path / "f.json", spec, np.ones(spec.shape), "isotropic")
+        (tmp_path / "f.bin").unlink()
+        with pytest.raises(VoxelFormatError, match="cannot read voxel payload"):
+            load_voxel(tmp_path / "f.json")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("dim = 1\n", "cannot read voxel header"), ("5\n", "not a JSON object")],
+        ids=["not-json", "not-object"],
+    )
+    def test_header_that_is_not_a_json_object_rejected(self, tmp_path, text, match):
+        (tmp_path / "f.json").write_text(text)
+        with pytest.raises(VoxelFormatError, match=match):
+            load_voxel(tmp_path / "f.json")
+
+    @pytest.mark.parametrize(
+        "kind, shape, match",
+        [("tensor", (3, 3), "unknown voxel kind"), ("vector", (3, 3), "payload shape")],
+        ids=["kind", "shape"],
+    )
+    def test_save_rejects_unknown_kind_or_wrong_payload_shape(self, tmp_path, kind, shape, match):
+        spec = GridSpec((1.0, 1.0), (3, 3))
+        with pytest.raises(MaterialDataError, match=match):
+            save_voxel(tmp_path / "f.json", spec, np.ones(shape), kind)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_header_field_rejected(self, tmp_path):
         (tmp_path / "f.json").write_text('{"dim": 1}')
         with pytest.raises(VoxelFormatError, match="missing"):
@@ -431,3 +491,9 @@ class TestVoxelFiles:
         save_field(tmp_path / "u.json", random_field(spec, rng))
         with pytest.raises(MaterialDataError, match="coefficient"):
             load_voxel(tmp_path / "u.json")
+
+    def test_coefficient_kind_rejected_as_vector_field(self, tmp_path):
+        spec = GridSpec((1.0,), (9,))
+        save_voxel(tmp_path / "a.json", spec, np.ones(spec.shape), "isotropic")
+        with pytest.raises(MaterialDataError, match="vector field"):
+            load_field(tmp_path / "a.json")

@@ -239,11 +239,16 @@ class TestL2Inner:
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-12 * scale
 
-    def test_spec_mismatch_rejected(self, rng):
+    @pytest.mark.parametrize(
+        "inner",
+        [l2_inner, lambda u, v: spectral_inner(dft_forward(u), dft_forward(v))],
+        ids=["l2", "spectral"],
+    )
+    def test_spec_mismatch_rejected(self, rng, inner):
         u = random_field(GridSpec((1.0,), (5,)), rng)
         v = random_field(GridSpec((1.0,), (7,)), rng)
         with pytest.raises(ValueError, match="specs"):
-            l2_inner(u, v)
+            inner(u, v)
 
 
 class TestInterpolationConstant:
