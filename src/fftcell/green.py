@@ -90,12 +90,21 @@ class GreenOperator:
     """Green operator of one (grid, reference) pair on the half spectrum.
 
     Built once per homogenization: stores the unit vectors ``n(k)`` on the
-    ``rfftn`` half lattice and one complex half-spectrum workspace.  Each
-    application runs numpy's per-axis passes of ``rfftn`` in place in the
-    workspace, a rank-one multiply per mode, and the passes of ``irfftn``,
-    so the output equals ``irfftn(n (n . rfftn(v)))`` bit for bit without
-    allocating.  The workspace makes an operator unsafe to share between
-    threads.  ``ref=None`` means ``A0 = I``.
+    ``rfftn`` half lattice and one complex half-spectrum workspace.  The
+    range of ``Gamma0`` and ``G0`` is the set of fields ``irfftn(n s)``,
+    one complex scalar ``s(k)`` per half-lattice mode, and the operator is
+    applied in two halves that the solvers also call on their own:
+
+    * :meth:`analyze` runs numpy's per-axis passes of ``rfftn`` in place in
+      the workspace and takes ``s = n . v_hat``;
+    * :meth:`synthesize` forms ``n s`` in the workspace and runs the passes
+      of ``irfftn`` into a real ``(d, *N)`` field.
+
+    Their composition equals ``irfftn(n (n . rfftn(v)))`` bit for bit
+    without allocating.  :meth:`inner` is the mean inner product of two
+    synthesized fields, computed on the scalars.  The workspace makes an
+    operator unsafe to share between threads.  ``ref=None`` means
+    ``A0 = I``.
     """
 
     def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
@@ -115,31 +124,61 @@ class GreenOperator:
         self.n = xi / np.sqrt(denom)
         self.A0n = self.n if scalar else np.einsum("ab,b...->a...", metric, self.n)
         self.gamma_scale = 1.0 / scalar if scalar else 1.0
+        # |n(k)|^2 weights the inner product; it is 1 (0 at k = 0, where
+        # every s vanishes) for a scalar reference.
+        self._weight = None if scalar else np.einsum("a...,a...->...", self.n, self.n)
         self._spectrum = np.empty(self.n.shape, dtype=complex)
         self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
-    def _apply(self, values, right, scale=1.0, out=None):
-        """``irfftn(n (scale * right . rfftn(values)))`` into ``out``, which
-        may be ``values``; a fresh array when ``out`` is None."""
-        spectrum, dots = self._spectrum, self._dots
+    def analyze(self, values, out=None, right=None):
+        """``right . rfftn(values)`` on the half lattice, ``right = n`` by
+        default, into ``out`` (a fresh array when None)."""
+        spectrum = self._spectrum
         d = self.spec.dim
         np.fft.rfft(values, axis=d, out=spectrum)
         for axis in range(d - 1, 0, -1):
             np.fft.fft(spectrum, axis=axis, out=spectrum)
-        np.einsum("a...,a...->...", right, spectrum, out=dots)
-        dots *= scale
-        np.multiply(self.n, dots, out=spectrum)
-        for axis in range(1, d):
+        if out is None:
+            out = np.empty_like(self._dots)
+        right = self.n if right is None else right
+        return np.einsum("a...,a...->...", right, spectrum, out=out)
+
+    def synthesize(self, s, out=None):
+        """The real field ``irfftn(n s)`` into ``out`` (a fresh ``(d, *N)``
+        array when None)."""
+        spectrum = self._spectrum
+        np.multiply(self.n, s, out=spectrum)
+        for axis in range(1, self.spec.dim):
             np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        return np.fft.irfft(spectrum, n=self.spec.shape[-1], axis=d, out=out)
+        return np.fft.irfft(spectrum, n=self.spec.shape[-1], axis=self.spec.dim, out=out)
+
+    def inner(self, s, t) -> float:
+        """Mean inner product ``(1/|N|) sum_x u(x) . v(x)`` of the fields
+        ``u``, ``v`` that :meth:`synthesize` makes of ``s``, ``t``.
+
+        By Plancherel it is ``(1/|N|^2) sum_k |n(k)|^2 conj(s(k)) t(k)``
+        over the whole lattice.  The modes ``k_d < 0`` are the conjugates
+        of the ``k_d > 0`` ones, so the half-lattice sum is counted twice
+        and its ``k_d = 0`` plane, which holds its own conjugates, once.
+        The weight goes through the dot-product scratch; only the
+        ``k_d = 0`` slices are copied.
+        """
+        if self._weight is not None:
+            t = np.multiply(self._weight, t, out=self._dots)
+        total = 2.0 * np.vdot(s, t).real - np.vdot(s[..., 0], t[..., 0]).real
+        return float(total / self.spec.total**2)
 
     def gamma0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``Gamma0 v = n (n . v_hat)`` on a ``(d, *N)`` array."""
-        return self._apply(values, self.n, self.gamma_scale, out)
+        """``Gamma0 v = n (n . v_hat)`` on a ``(d, *N)`` array; ``out`` may
+        be ``values``."""
+        dots = self.analyze(values, self._dots)
+        dots *= self.gamma_scale
+        return self.synthesize(dots, out)
 
     def G0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)`` array."""
-        return self._apply(values, self.A0n, out=out)
+        """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)``
+        array; ``out`` may be ``values``."""
+        return self.synthesize(self.analyze(values, self._dots, self.A0n), out)
 
 
 def apply_gamma0(u: GridField, ref: ReferenceTensor) -> GridField:

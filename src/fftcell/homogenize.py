@@ -5,7 +5,8 @@ assembles the homogenized tensor through the discrete bilinear form,
 
     (A_eff)_ab = < A (E^a + e~^a), E^b + e~^b >,
 
-with the discrete mean inner product.  By Galerkin orthogonality this
+with the discrete mean inner product, one row at a time through two
+scratch fields.  By Galerkin orthogonality this
 agrees with the mean-flux column <A (E^a + e~^a)>_b, which is checked in
 the tests rather than assumed.
 """
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import CoefficientField, apply_A
+from .material import CoefficientField, apply_A, contract
 from .solver import LoadCase, SolveReport, SolverConfig, green_operator, solve
-from .transforms import GridField, l2_inner
+from .transforms import GridField
 
 
 class ConvergenceError(RuntimeError):
@@ -45,12 +46,19 @@ def unit_loads(dim):
 
 def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
     """Drive the d unit load cases, all on one Green operator, and
-    assemble the effective tensor."""
+    assemble the effective tensor.
+
+    The assembly streams through two ``(d, *N)`` scratch fields: per row
+    ``alpha`` it forms the total ``E^a + e~^a`` and its flux, then refills
+    the first field with each total ``E^b + e~^b`` and sums the product
+    into it.  The entries equal :func:`~fftcell.transforms.l2_inner` of
+    the flux and total fields bit for bit.
+    """
     d = a.spec.dim
     green = green_operator(a, cfg)
     reports = []
-    totals = []
-    for load in unit_loads(d):
+    loads = unit_loads(d)
+    for load in loads:
         report = solve(a, load, cfg, green=green)
         reports.append(report)
         if not report.converged:
@@ -59,14 +67,20 @@ def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
                 f"{report.iterations} iterations ({report.message})",
                 tuple(reports),
             )
-        totals.append(
-            GridField(a.spec, report.solution.values + load.expand(a.spec).values)
-        )
+
+    total = np.empty((d,) + a.spec.shape)
+    flux = np.empty_like(total)
+
+    def fill_total(beta):
+        E = np.reshape(loads[beta].E, (d,) + (1,) * d)
+        return np.add(reports[beta].solution.values, E, out=total)
+
     matrix = np.empty((d, d))
-    fluxes = [apply_A(a, e) for e in totals]
     for alpha in range(d):
+        contract(a.data, fill_total(alpha), out=flux)
         for beta in range(d):
-            matrix[alpha, beta] = l2_inner(fluxes[alpha], totals[beta])
+            product = np.multiply(flux, fill_total(beta), out=total)
+            matrix[alpha, beta] = float(product.sum() / a.spec.total)
     return EffectiveTensor(matrix, tuple(reports))
 
 

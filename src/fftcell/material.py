@@ -161,20 +161,31 @@ def sample_analytic(f, spec: GridSpec) -> CoefficientField:
     sample on the whole coordinate grid at once).
 
     ``f`` maps a point to a symmetric d x d matrix, or to a scalar
-    (interpreted as an isotropic tensor a(x) * I).
+    (interpreted as an isotropic tensor a(x) * I).  Scalars are stored as
+    they come until the first matrix sample, which expands the points
+    before it to ``a(x) * I``.
     """
     d = spec.dim
-    matrices = np.empty((d, d, spec.total))
+    scalars = np.empty(spec.total)
+    matrices = None
     eye = np.eye(d)
     for j, x in enumerate(coordinate_grid(spec).reshape(d, -1).T):
         val = np.asarray(f(x), dtype=float)
+        if val.ndim == 0 and matrices is None:
+            scalars[j] = val
+            continue
         if val.ndim == 0:
             val = float(val) * eye
         if val.shape != (d, d):
             raise MaterialDataError(
                 f"sampler returned shape {val.shape} at grid point {tuple(x.tolist())}"
             )
+        if matrices is None:
+            matrices = np.empty((d, d, spec.total))
+            matrices[:, :, :j] = eye[:, :, np.newaxis] * scalars[:j]
         matrices[:, :, j] = val
+    if matrices is None:
+        return CoefficientField.isotropic(spec, scalars.reshape(spec.shape))
     return CoefficientField.from_matrices(spec, matrices.reshape((d, d) + spec.shape))
 
 
@@ -246,7 +257,7 @@ def _atomic_write(path, writer):
 def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
     """Write a header/payload pair atomically, payload first; payload shape
     must match ``kind``."""
-    if kind not in _KIND_COMPONENTS:
+    if not isinstance(kind, str) or kind not in _KIND_COMPONENTS:
         raise MaterialDataError(f"unknown voxel kind {kind!r}")
     ncomp = _KIND_COMPONENTS[kind](spec.dim)
     payload = np.ascontiguousarray(payload, dtype="<f8")

@@ -18,10 +18,16 @@ step rules of the same recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
   ``Gamma0 A0 e~ = e~`` on the subspace, it is Richardson's unit step
   ``x += r; r -= Gamma0 A r`` (``alpha = 1``, ``p = r``) with Gamma0 of A0.
 
+Every vector of the recurrence lies in the range of Gamma0, the fields
+``irfftn(n s)`` with one complex scalar ``s(k)`` per half-lattice mode,
+so the loop runs on those scalars and synthesizes real fields only to
+apply A and to report.
+
 For both methods ``iterations`` counts the applied updates and
 ``residual_history`` starts with the initial residual.  All norms are the
-discrete mean L2 norm, matching the trigonometric polynomial L2 norm
-through the grid-value isometry.
+discrete mean L2 norm of the real fields, matching the trigonometric
+polynomial L2 norm through the grid-value isometry; they are summed on
+the half lattice by Plancherel.
 """
 
 from __future__ import annotations
@@ -156,8 +162,14 @@ def solve(
     iterate.
 
     ``green`` is the operator of :func:`green_operator`, built here when
-    not given.  Besides its workspace the loop holds five ``(d, *N)``
-    arrays (four for Neumann) and allocates nothing per iteration.
+    not given.  Every iterate lies in the range of ``Gamma0``, so the loop
+    keeps ``x``, ``r``, ``p`` and ``Ap`` as the half-lattice scalars of
+    :meth:`~fftcell.green.GreenOperator.synthesize`, ``d`` times smaller
+    than the fields they stand for, and takes norms with
+    :meth:`~fftcell.green.GreenOperator.inner`.  The operator passes
+    through one real ``(d, *N)`` buffer (two for packed coefficients); only
+    the reported solution and recorded iterates are synthesized.  No
+    iteration allocates beyond the ``k_d = 0`` slices of the inner product.
     """
     spec = a.spec
     cg = cfg.method == "cg"
@@ -168,30 +180,37 @@ def solve(
     elif green.spec != spec or not np.array_equal(green.ref.matrix, ref.matrix):
         raise ValueError("green operator does not match the coefficients and config")
     units = a.C_A * E_max if cg else E_max
+    field = load.expand(spec).values  # holds E / |E|_max until the first step
+    field /= E_max
+    # Packed contraction cannot write into its input.
+    flux = field if a.data.ndim == spec.dim else np.empty_like(field)
 
-    def operator(values, out):
-        return green.gamma0(contract(a.data, values, out=out), out=out)
+    def operator(out):
+        """``out = Gamma0 A field`` as half-lattice scalars."""
+        out = green.analyze(contract(a.data, field, out=flux), out)
+        out *= green.gamma_scale
+        return out
 
-    Ap = load.expand(spec).values  # holds E / |E|_max until the first step
-    Ap /= E_max
-    tmp = np.empty_like(Ap)
-    total = spec.total
-
-    def inner(u, v):
-        return float(np.multiply(u, v, out=tmp).sum() / total)
-
-    x = np.zeros_like(Ap)
-    r = -operator(Ap, tmp)  # the residual of x = 0
-    rr = inner(r, r)
+    r = operator(None)
+    np.negative(r, out=r)  # the residual of x = 0
+    Ap = np.empty_like(r)
+    x = np.zeros_like(r)
+    rr = green.inner(r, r)
     if cg:
         stop = cfg.tol * np.sqrt(rr)
     else:
         stop = cfg.tol * float(np.linalg.norm(np.divide(load.E, E_max)))
     history = [units * np.sqrt(rr)]
-    iterates = [GridField(spec, E_max * x)] if record_iterates else []
+
+    def synthesized(out=None):
+        solution = green.synthesize(x, out)
+        solution *= E_max
+        return solution
+
+    iterates = [GridField(spec, synthesized())] if record_iterates else []
 
     def report(iterations, converged, message=""):
-        solution = np.multiply(x, E_max, out=x)
+        solution = synthesized(field)
         finite = np.isfinite(history).all() and np.isfinite(solution).all()
         if converged and not finite:
             converged = False
@@ -218,23 +237,24 @@ def solve(
             )
         if i == cfg.max_iter:
             return report(i, False, "max_iter exceeded")
-        operator(p, Ap)
+        green.synthesize(p, field)
+        operator(Ap)
         if cg:
-            pAp = inner(p, Ap)
+            pAp = green.inner(p, Ap)
             if pAp <= 0:
                 return report(
                     i, False, f"operator lost positive definiteness (pAp={pAp:.3e})"
                 )
             alpha = rr / pAp
-            x += np.multiply(p, alpha, out=tmp)
-            r -= np.multiply(Ap, alpha, out=tmp)
+            r -= np.multiply(Ap, alpha, out=Ap)  # Ap is free from here on
+            x += np.multiply(p, alpha, out=Ap)
         else:
             x += r
             r -= Ap
-        rr_new = inner(r, r)
+        rr_new = green.inner(r, r)
         history.append(units * np.sqrt(rr_new))
         if record_iterates:
-            iterates.append(GridField(spec, E_max * x))
+            iterates.append(GridField(spec, synthesized()))
         if cg:
             p *= rr_new / rr
             p += r

@@ -351,6 +351,17 @@ class TestInPlaceApplication:
                 assert np.array_equal(inplace, expected)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_synthesis_of_the_analysis_is_the_operator_bit_for_bit(self, spec, rng):
+        for ref, scale in self.cases(spec):
+            green = GreenOperator(spec, ref)
+            u = random_field(spec, rng).values
+            s = green.analyze(u)
+            assert s.shape == green.n.shape[1:] and s.dtype == complex
+            assert np.array_equal(green.synthesize(scale * s), green.gamma0(u))
+            g0 = green.synthesize(green.analyze(u, right=green.A0n))
+            assert np.array_equal(g0, green.G0(u))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_results_without_out_are_fresh_arrays(self, spec, rng):
         green = GreenOperator(spec, ReferenceTensor.scalar(2.5, spec.dim))
         first = green.gamma0(random_field(spec, rng).values)
@@ -359,3 +370,39 @@ class TestInPlaceApplication:
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, green._spectrum)
         assert np.array_equal(first, kept)
+
+
+class TestHalfLatticeInner:
+    """``GreenOperator.inner`` on the scalars against the mean inner
+    product of the synthesized real fields."""
+
+    SPECS = TestInPlaceApplication.SPECS
+
+    # Every 1 x 1 reference is scalar, so tensor references start at d = 2.
+    @pytest.mark.parametrize(
+        "spec, ref_kind",
+        [(spec, "scalar") for spec in SPECS] + [(spec, "tensor") for spec in SPECS[1:]],
+        ids=str,
+    )
+    def test_equals_the_real_space_mean_inner_product(self, spec, ref_kind, rng):
+        ref = random_spd_reference(spec.dim, rng, scalar=ref_kind == "scalar")
+        assert (ref.scalar_mode is None) == (ref_kind == "tensor")
+        green = GreenOperator(spec, ref)
+        s = green.analyze(random_field(spec, rng).values)
+        t = green.analyze(random_field(spec, rng).values)
+        u = GridField(spec, green.synthesize(s))
+        v = GridField(spec, green.synthesize(t))
+        for (x, fx), (y, fy) in [((s, u), (t, v)), ((s, u), (s, u)), ((t, v), (s, u))]:
+            want = l2_inner(fx, fy)
+            scale = np.sqrt(l2_inner(fx, fx) * l2_inner(fy, fy))
+            assert abs(green.inner(x, y) - want) <= 1e-13 * scale
+        assert green.inner(s, s) == pytest.approx(l2_inner(u, u), rel=1e-13, abs=0)
+
+    def test_the_inner_product_leaves_its_arguments_alone(self, rng):
+        spec = self.SPECS[1]
+        green = GreenOperator(spec, ReferenceTensor(np.diag([2.5, 2.0])))
+        s = green.analyze(random_field(spec, rng).values)
+        t = green.analyze(random_field(spec, rng).values)
+        kept = s.copy(), t.copy()
+        green.inner(s, t)
+        assert np.array_equal(s, kept[0]) and np.array_equal(t, kept[1])

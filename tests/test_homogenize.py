@@ -16,9 +16,9 @@ from fftcell.homogenize import (
     write_history_csv,
     write_tensor_csv,
 )
-from fftcell.material import CoefficientField, sample_analytic
+from fftcell.material import CoefficientField, apply_A, sample_analytic
 from fftcell.solver import LoadCase, SolverConfig, solve, solve_cg
-from fftcell.transforms import GridField, l2_norm
+from fftcell.transforms import GridField, l2_inner, l2_norm
 
 from conftest import random_spd_field
 
@@ -77,6 +77,22 @@ class TestEffectiveTensor:
             effective_tensor(a, SolverConfig(tol=1e-12, max_iter=1))
         assert len(exc.value.reports) == 1
         assert not exc.value.reports[-1].converged
+
+    @pytest.mark.parametrize("packed_field", [False, True], ids=["scalar", "packed"])
+    def test_streamed_assembly_equals_the_list_formula_bit_for_bit(self, packed_field, rng):
+        spec = GridSpec((1.0, 0.8, 1.3), (7, 5, 9))
+        if packed_field:
+            a = random_spd_field(spec, rng)
+        else:
+            a = CoefficientField.isotropic(spec, rng.uniform(1.0, 10.0, spec.shape))
+        eff = effective_tensor(a, SolverConfig(tol=1e-10, max_iter=2000))
+        totals = [
+            GridField(spec, r.solution.values + load.expand(spec).values)
+            for r, load in zip(eff.per_case_reports, unit_loads(spec.dim))
+        ]
+        fluxes = [apply_A(a, e) for e in totals]
+        listed = [[l2_inner(j, e) for e in totals] for j in fluxes]
+        assert np.array_equal(eff.matrix, np.array(listed))
 
     def test_unit_loads_are_the_canonical_basis(self):
         loads = unit_loads(3)

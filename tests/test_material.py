@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fftcell.families import checkerboard_2d, sine_1d
-from fftcell.grid import GridSpec, grid_point, iter_lattice
+from fftcell.grid import GridSpec, coordinate_grid, grid_point, iter_lattice
 from fftcell.material import (
     CoefficientField,
     MaterialDataError,
@@ -24,6 +24,17 @@ from fftcell.material import (
 from fftcell.transforms import GridField, l2_inner
 
 from conftest import SMALL_SPECS, random_field, random_spd_field
+
+
+def loop_sample(f, spec):
+    """Every sample expanded to a d x d matrix, then validated and packed:
+    the reference that ``sample_analytic`` must reproduce bit for bit."""
+    d = spec.dim
+    matrices = np.empty((d, d, spec.total))
+    for j, x in enumerate(coordinate_grid(spec).reshape(d, -1).T):
+        val = np.asarray(f(x), dtype=float)
+        matrices[:, :, j] = float(val) * np.eye(d) if val.ndim == 0 else val
+    return CoefficientField.from_matrices(spec, matrices.reshape((d, d) + spec.shape))
 
 
 class TestSampling:
@@ -87,6 +98,44 @@ class TestSampling:
         with pytest.raises(
             MaterialDataError, match=r"shape \(3,\) at grid point \(0\.8, -0\.8\)"
         ):
+            sample_analytic(f, spec)
+
+    @pytest.mark.parametrize("kind", ["scalar", "matrix", "switching"])
+    @pytest.mark.parametrize("shape", [(9,), (9, 7), (5, 3, 7)], ids=str)
+    def test_equals_the_per_point_matrix_loop_bit_for_bit(self, kind, shape):
+        spec = GridSpec(tuple(0.5 + 0.3 * a for a in range(len(shape))), shape)
+        d = spec.dim
+
+        def value(x):
+            return 2.0 + np.sin(np.pi * x[0]) * np.cos(x[-1])
+
+        def matrix(x):
+            m = value(x) * np.eye(d)
+            if d > 1:
+                m[0, -1] = m[-1, 0] = 0.1
+            return m
+
+        f = {
+            "scalar": value,
+            "matrix": matrix,
+            "switching": lambda x: matrix(x) if x[0] > 0 else value(x),
+        }[kind]
+        got, want = sample_analytic(f, spec), loop_sample(f, spec)
+        assert got.data.shape == want.data.shape
+        assert np.array_equal(got.data, want.data)
+        assert (got.c_A, got.C_A) == (want.c_A, want.C_A)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("matrix_first", [False, True], ids=["scalar", "matrix"])
+    def test_non_finite_sample_rejected(self, bad, matrix_first):
+        spec = GridSpec((1.0, 1.0), (5, 5))
+
+        def f(x):
+            if x[0] > 0.5 and x[1] > 0.5:
+                return bad
+            return np.eye(2) if matrix_first else 1.0
+
+        with np.errstate(invalid="ignore"), pytest.raises(MaterialDataError, match="non-finite"):
             sample_analytic(f, spec)
 
     @pytest.mark.parametrize("shape", [(27,), (9, 7), (5, 3, 7)], ids=str)
@@ -463,8 +512,12 @@ class TestVoxelFiles:
 
     @pytest.mark.parametrize(
         "kind, shape, match",
-        [("tensor", (3, 3), "unknown voxel kind"), ("vector", (3, 3), "payload shape")],
-        ids=["kind", "shape"],
+        [
+            ("tensor", (3, 3), "unknown voxel kind"),
+            (["isotropic"], (9,), "unknown voxel kind"),
+            ("vector", (3, 3), "payload shape"),
+        ],
+        ids=["kind", "list-kind", "shape"],
     )
     def test_save_rejects_unknown_kind_or_wrong_payload_shape(self, tmp_path, kind, shape, match):
         spec = GridSpec((1.0, 1.0), (3, 3))
