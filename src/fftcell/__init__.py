@@ -1,8 +1,8 @@
 """Matrix-free FFT-based spectral Galerkin solver for the periodic scalar
 cell problem of homogenization."""
 
-from .grid import GridSpec, frequency, grid_point, iter_lattice, next_fast_odd
-from .green import ReferenceTensor, apply_G0, apply_gamma0, gamma_hat, project_J, project_mean
+from .grid import GridSpec, next_fast_odd
+from .green import ReferenceTensor, apply_G0, project_J, project_mean
 from .material import CoefficientField, apply_A, load_voxel, sample_analytic, save_coefficients
 from .transforms import (
     GridField,
@@ -28,13 +28,8 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "EffectiveTensor",
-    "frequency",
-    "grid_point",
-    "iter_lattice",
     "next_fast_odd",
-    "gamma_hat",
     "apply_G0",
-    "apply_gamma0",
     "project_mean",
     "project_J",
     "apply_A",

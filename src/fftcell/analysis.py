@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, index_grid
+from .grid import GridSpec, index_grid, underlined_frequency_grid
 from .material import CoefficientField, contract
 from .green import GreenOperator
+from .homogenize import unit_loads
 from .solver import LoadCase, SolverConfig, solve, solve_cg
 from .transforms import GridField, SpectralField, dft_forward
 
@@ -117,7 +118,7 @@ def convergence_study(family, grids, cfg: SolverConfig):
     discrete L2 norms after spectral prolongation to the reference grid.
     """
     grids = [tuple(g) for g in grids]
-    load = LoadCase(tuple(np.eye(family.dim)[0]))
+    load = unit_loads(family.dim)[0]
     ref_shape = tuple(4 * n + 1 for n in grids[-1])
     ref_spec = family.default_spec(ref_shape)
     ref_report = solve_cg(family.sample(ref_spec), load, cfg)
@@ -158,15 +159,12 @@ def contrast_study(make_family, contrasts, shape, tol=1e-6, max_iter=100000):
         family = make_family(rho)
         spec = family.default_spec(shape)
         samples[rho] = family.sample(spec)
-    load = None
     for method in ("cg", "neumann"):
         iterations, flags = [], []
         for rho in contrasts:
             a = samples[rho]
-            if load is None or load.dim != a.spec.dim:
-                load = LoadCase(tuple(np.eye(a.spec.dim)[0]))
             cfg = SolverConfig(method=method, tol=tol, max_iter=max_iter)
-            report = solve(a, load, cfg)
+            report = solve(a, unit_loads(a.spec.dim)[0], cfg)
             iterations.append(max(report.iterations, 1))
             if not report.converged:
                 flags.append(f"censored:{rho:g}")
@@ -235,8 +233,7 @@ def approximation_study(s, grids, orders=(0, 1), max_index=520):
     axis = [GridSpec((1.0,), (n,)).C_h for n in grids]
     ref_spec, coeffs = _decay_coefficients(max_index, s, 1)
     k_ref = index_grid(ref_spec)[0]
-    xiu2 = k_ref.astype(float) ** 2
-    xiu2[0] = 1.0  # underlined frequency at the mean mode
+    xiu2 = underlined_frequency_grid(ref_spec)[0] ** 2
 
     results = {}
     for r in orders:

@@ -29,6 +29,7 @@ from .homogenize import (
     effective_tensor,
     flux_field,
     mean_flux,
+    unit_loads,
     write_history_csv,
     write_tensor_csv,
 )
@@ -127,7 +128,7 @@ def cmd_solve(args):
     a = _resolve_material(args)
     cfg = _solver_config(args, a.spec.dim)
     if args.load is None:
-        load = LoadCase(tuple(np.eye(a.spec.dim)[0]))
+        load = unit_loads(a.spec.dim)[0]
     else:
         load = _parse_load(args.load, a.spec.dim)
     out = Path(args.out)

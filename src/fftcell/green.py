@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, frequency, frequency_grid
+from .grid import GridSpec, frequency_grid
 from .transforms import GridField
 
 
@@ -76,14 +76,6 @@ class ReferenceTensor:
     @property
     def contrast(self):
         return self.C_bound / self.c_bound
-
-
-def gamma_hat(k, ref: ReferenceTensor, spec: GridSpec) -> np.ndarray:
-    """Per-mode kernel block; zero matrix at k = 0."""
-    if all(int(ki) == 0 for ki in k):
-        return np.zeros((spec.dim, spec.dim))
-    xi = frequency(spec, k)
-    return np.outer(xi, xi) / float(xi @ ref.matrix @ xi)
 
 
 class GreenOperator:
@@ -179,11 +171,6 @@ class GreenOperator:
         """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)``
         array; ``out`` may be ``values``."""
         return self.synthesize(self.analyze(values, self._dots, self.A0n), out)
-
-
-def apply_gamma0(u: GridField, ref: ReferenceTensor) -> GridField:
-    """Action of the Green operator Gamma0 (no A0 factor)."""
-    return GridField(u.spec, GreenOperator(u.spec, ref).gamma0(u.values))
 
 
 def apply_G0(u: GridField, ref: ReferenceTensor) -> GridField:

@@ -16,8 +16,9 @@ the frequency index FFT-shifted: array slot ``i_a`` holds the centered index
 
 i.e. slot 0 holds ``k = 0``.  This is the standard ``numpy.fft`` layout
 (``np.fft.fftfreq(N, d=1/N)`` enumerates exactly this map), so transforms
-need no explicit shifting.  The same slot map positions grid points
-``x^k = (k_a h_a)_a``.
+need no explicit shifting.  :func:`index_grid` writes the map out for the
+whole grid; the grid points ``x^k = (k_a h_a)_a`` and the frequencies
+``xi(k) = k / Y`` are read from it.
 """
 
 from __future__ import annotations
@@ -80,51 +81,6 @@ class GridSpec:
         return self.C_h / self.c_h
 
 
-def in_lattice(spec, k):
-    """Membership of an integer vector in the reduced lattice."""
-    k = tuple(int(ki) for ki in k)
-    if len(k) != spec.dim:
-        return False
-    return all(-n / 2 <= ki < n / 2 for ki, n in zip(k, spec.shape))
-
-
-def grid_point(spec, k):
-    """Grid point ``x^k = (k_a h_a)_a`` for k in the reduced lattice."""
-    if not in_lattice(spec, k):
-        raise ValueError(f"index {tuple(k)} outside the reduced lattice for {spec.shape}")
-    return np.array([ki * h for ki, h in zip(k, spec.spacings)])
-
-
-def frequency(spec, k):
-    """Frequency vector ``xi(k) = (k_a / Y_a)_a`` for any integer vector k."""
-    return np.array([ki / y for ki, y in zip(k, spec.half_periods)], dtype=float)
-
-
-def underlined_frequency(spec, k):
-    """Like :func:`frequency` but the all-ones vector at k = 0."""
-    if all(int(ki) == 0 for ki in k):
-        return np.ones(spec.dim)
-    return frequency(spec, k)
-
-
-def slot_to_index(spec, slot):
-    """Centered frequency index held in an array slot (the FFT-shift map)."""
-    return tuple(i if i <= (n - 1) // 2 else i - n for i, n in zip(slot, spec.shape))
-
-
-def index_to_slot(spec, k):
-    """Array slot holding centered index k; inverse of :func:`slot_to_index`."""
-    if not in_lattice(spec, k):
-        raise ValueError(f"index {tuple(k)} outside the reduced lattice for {spec.shape}")
-    return tuple(int(ki) % n for ki, n in zip(k, spec.shape))
-
-
-def iter_lattice(spec):
-    """Enumerate the reduced lattice once, in array storage order."""
-    for slot in np.ndindex(*spec.shape):
-        yield slot_to_index(spec, slot)
-
-
 def index_grid(spec):
     """Centered integer indices per axis, shaped for broadcasting.
 
@@ -137,8 +93,8 @@ def index_grid(spec):
 
 
 def coordinate_grid(spec):
-    """Grid points ``x^k`` for the whole lattice, shape ``(d, *N)``; equal to
-    :func:`grid_point` slot by slot, bit for bit."""
+    """Grid points ``x^k = (k_a h_a)_a`` for the whole lattice, shape
+    ``(d, *N)``."""
     h = np.array(spec.spacings).reshape((spec.dim,) + (1,) * spec.dim)
     return index_grid(spec) * h
 

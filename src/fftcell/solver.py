@@ -169,7 +169,8 @@ def solve(
     :meth:`~fftcell.green.GreenOperator.inner`.  The operator passes
     through one real ``(d, *N)`` buffer (two for packed coefficients); only
     the reported solution and recorded iterates are synthesized.  No
-    iteration allocates beyond the ``k_d = 0`` slices of the inner product.
+    iteration allocates beyond the ``k_d = 0`` slices of the inner product
+    and the ``(*N)`` scratch row of a packed :func:`~fftcell.material.contract`.
     """
     spec = a.spec
     cg = cfg.method == "cg"

@@ -18,17 +18,11 @@ the reduced lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    coordinate_grid,
-    frequency_grid,
-    in_lattice,
-    index_to_slot,
-    underlined_frequency_grid,
-)
+from .grid import GridSpec, coordinate_grid, frequency_grid, underlined_frequency_grid
 
 # Imaginary residue allowed after an inverse transform of Hermitian data,
 # relative to max(1, max |real part|).  Anything larger signals broken
@@ -126,15 +120,20 @@ def interpolate(f, spec: GridSpec) -> GridField:
 def truncate(fourier_coeffs, spec: GridSpec) -> SpectralField:
     """Keep exactly the modes inside the reduced lattice, discard the rest.
 
-    ``fourier_coeffs`` maps integer index tuples (over any finite set) to
-    complex d-vectors.
+    ``fourier_coeffs`` maps index tuples of ``d`` integers (over any finite
+    set) to complex d-vectors; any other key raises ``ValueError``.
     """
     coeffs = np.zeros((spec.dim,) + spec.shape, dtype=complex)
-    for k, vec in fourier_coeffs.items():
-        if in_lattice(spec, k):
-            coeffs[(slice(None),) + index_to_slot(spec, k)] = np.asarray(
-                vec, dtype=complex
-            ).reshape(spec.dim)
+    for k in fourier_coeffs:
+        if np.shape(k) != (spec.dim,) or not all(isinstance(ki, Integral) for ki in k):
+            raise ValueError(f"mode key {k!r} is not a tuple of {spec.dim} integers")
+    # Object entries hold integers of any size; only kept ones become int64.
+    keys = np.array(list(fourier_coeffs), dtype=object).reshape(-1, spec.dim).T
+    vecs = [np.asarray(v, dtype=complex).reshape(spec.dim) for v in fourier_coeffs.values()]
+    n = np.array(spec.shape)[:, np.newaxis]
+    inside = np.all((keys >= -(n // 2)) & (keys <= n // 2), axis=0)  # -N/2 <= k < N/2, N odd
+    slots = (keys[:, inside] % n).astype(int)
+    coeffs[(slice(None),) + tuple(slots)] = np.reshape(vecs, (-1, spec.dim))[inside].T
     return SpectralField(spec, coeffs)
 
 

@@ -1,4 +1,4 @@
-"""Shared builders for randomized fields used across the test modules."""
+"""Shared builders for randomized fields, and per-point oracles of the lattice map."""
 
 import numpy as np
 import pytest
@@ -19,6 +19,34 @@ SMALL_SPECS = [
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def lattice_slots(spec):
+    """Each index k of the reduced lattice with the array slot holding it,
+    in storage order: slot ``i_a`` holds ``k_a = i_a`` for ``2 i_a < N_a``
+    and ``k_a = i_a - N_a`` otherwise."""
+    for slot in np.ndindex(*spec.shape):
+        yield tuple(i if 2 * i < n else i - n for i, n in zip(slot, spec.shape)), slot
+
+
+def grid_point(spec, k):
+    """Grid point ``x^k = (k_a h_a)_a``."""
+    return np.array([ki * h for ki, h in zip(k, spec.spacings)])
+
+
+def gamma_hat(k, ref, spec):
+    """Per-mode Green block ``xi (x) xi / <A0 xi, xi>`` with ``xi = k / Y``;
+    zero at k = 0."""
+    if not any(k):
+        return np.zeros((spec.dim, spec.dim))
+    xi = np.divide(k, spec.half_periods)
+    return np.outer(xi, xi) / float(xi @ ref.matrix @ xi)
+
+
+def mirror(values):
+    """Values at ``-k``: slot ``i`` goes to ``-i mod N`` on every grid axis."""
+    axes = tuple(range(1, values.ndim))
+    return np.roll(np.flip(values, axis=axes), 1, axis=axes)
 
 
 def random_field(spec, rng, scale=1.0):

@@ -5,17 +5,17 @@ from fftcell.green import (
     GreenOperator,
     ReferenceTensor,
     apply_G0,
-    apply_gamma0,
-    gamma_hat,
     project_J,
     project_mean,
 )
-from fftcell.grid import GridSpec, index_to_slot, iter_lattice
+from fftcell.grid import GridSpec
 from fftcell.transforms import GridField, dft_forward, dft_inverse, l2_inner, truncate
 
 from conftest import (
     SMALL_SPECS,
     curl_residual,
+    gamma_hat,
+    lattice_slots,
     mean_residual,
     random_divfree_field,
     random_field,
@@ -70,22 +70,26 @@ class TestReferenceTensor:
 
 
 class TestGammaHat:
+    """The block ``gamma_scale n(k) (x) n(k)`` that GreenOperator stores."""
+
+    def block(self, ref, k):
+        green = GreenOperator(GridSpec((1.0, 1.0), (3, 3)), ref)
+        n = green.n[:, k[0], k[1]]
+        return green.gamma_scale * np.outer(n, n)
+
     def test_zero_block_at_the_mean_mode(self):
-        spec = GridSpec((1.0, 1.0), (3, 3))
         ref = ReferenceTensor.scalar(1.0, 2)
-        assert np.array_equal(gamma_hat((0, 0), ref, spec), np.zeros((2, 2)))
+        assert np.array_equal(self.block(ref, (0, 0)), np.zeros((2, 2)))
 
     def test_axis_mode_gives_rank_one_axis_projector(self):
-        spec = GridSpec((1.0, 1.0), (3, 3))
         ref = ReferenceTensor.scalar(1.0, 2)
         expected = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert gamma_hat((1, 0), ref, spec) == pytest.approx(expected)
+        assert self.block(ref, (1, 0)) == pytest.approx(expected)
 
     def test_anisotropic_reference_scales_the_denominator(self):
-        spec = GridSpec((1.0, 1.0), (3, 3))
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
         expected = np.full((2, 2), 1.0 / 3.0)
-        assert gamma_hat((1, 1), ref, spec) == pytest.approx(expected)
+        assert self.block(ref, (1, 1)) == pytest.approx(expected)
 
 
 class TestApplyG0:
@@ -153,19 +157,19 @@ class TestApplyG0:
         assert mean_residual(out) <= 1e-13
 
 
-class TestApplyGamma0:
+class TestGamma0:
     def test_scalar_reference_scales_inversely(self, rng):
         spec = GridSpec((1.0, 1.0), (5, 5))
         u = random_field(spec, rng)
         lam = 4.0
-        a = apply_gamma0(u, ReferenceTensor.scalar(lam, 2)).values
+        a = GreenOperator(spec, ReferenceTensor.scalar(lam, 2)).gamma0(u.values)
         b = apply_G0(u, ReferenceTensor.scalar(lam, 2)).values
         assert np.allclose(lam * a, b, atol=1e-12)
 
     def test_annihilates_constants(self):
         spec = GridSpec((1.0,), (5,))
-        out = apply_gamma0(GridField.constant(spec, (3.0,)), ReferenceTensor.scalar(1.0, 1))
-        assert np.max(np.abs(out.values)) <= 1e-14
+        out = GreenOperator(spec, ReferenceTensor.scalar(1.0, 1)).gamma0(np.full((1, 5), 3.0))
+        assert np.max(np.abs(out)) <= 1e-14
 
     def test_single_mode_matches_the_per_mode_block(self, rng):
         spec = GridSpec((1.0, 1.0), (5, 5))
@@ -173,7 +177,7 @@ class TestApplyGamma0:
         vec = rng.standard_normal(2)
         s = truncate({(1, 2): 0.5 * vec, (-1, -2): 0.5 * vec}, spec)
         u = dft_inverse(s)
-        out = dft_forward(apply_gamma0(u, ref))
+        out = dft_forward(GridField(spec, GreenOperator(spec, ref).gamma0(u.values)))
         got = out.coeffs[:, 1, 2]
         expected = gamma_hat((1, 2), ref, spec) @ (0.5 * vec)
         assert np.allclose(got, expected, atol=1e-13)
@@ -248,8 +252,8 @@ class TestGreenOperator:
         u_hat = dft_forward(u).coeffs
         gamma_out = dft_forward(GridField(spec, green.gamma0(u.values))).coeffs
         g0_out = dft_forward(GridField(spec, green.G0(u.values))).coeffs
-        for k in iter_lattice(spec):
-            at = (slice(None),) + index_to_slot(spec, k)
+        for k, slot in lattice_slots(spec):
+            at = (slice(None),) + slot
             block = gamma_hat(k, ref, spec)
             assert np.allclose(gamma_out[at], block @ u_hat[at], rtol=0, atol=1e-14)
             assert np.allclose(

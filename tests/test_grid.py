@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 from fftcell.grid import (
     GridSpec,
     coordinate_grid,
-    frequency,
-    grid_point,
-    in_lattice,
+    frequency_grid,
     index_grid,
-    index_to_slot,
-    iter_lattice,
     next_fast_odd,
-    slot_to_index,
-    underlined_frequency,
+    underlined_frequency_grid,
 )
+
+from conftest import grid_point, lattice_slots, mirror
 
 odd_shapes = st.lists(
     st.sampled_from([1, 3, 5, 7, 9]), min_size=1, max_size=3
@@ -60,50 +57,58 @@ class TestGridSpec:
             GridSpec((1.0, 1.0), (3,))
 
 
-class TestGridPoint:
+class TestCoordinateGrid:
     def test_origin(self):
-        assert grid_point(spec_for((3,)), (0,)) == pytest.approx([0.0])
+        assert coordinate_grid(spec_for((3,)))[:, 0] == pytest.approx([0.0])
 
     def test_unit_step_is_one_spacing(self):
-        assert grid_point(spec_for((3,)), (1,)) == pytest.approx([2.0 / 3.0])
+        assert coordinate_grid(spec_for((3,)))[:, 1] == pytest.approx([2.0 / 3.0])
 
     def test_componentwise_scaling(self):
         spec = GridSpec((1.0, 2.0), (3, 5))
-        assert grid_point(spec, (-1, 2)) == pytest.approx([-2.0 / 3.0, 8.0 / 5.0])
+        # k = (-1, 2) sits in slot (2, 2).
+        assert coordinate_grid(spec)[:, 2, 2] == pytest.approx([-2.0 / 3.0, 8.0 / 5.0])
 
-    def test_rejects_index_outside_lattice(self):
-        with pytest.raises(ValueError, match="outside"):
-            grid_point(spec_for((3,)), (2,))
+    def test_no_point_outside_lattice(self):
+        # k = 2 is outside the lattice of N = 3, so no point lies at 2 h.
+        assert np.max(np.abs(coordinate_grid(spec_for((3,))))) == pytest.approx(2.0 / 3.0)
+
+    @given(odd_shapes)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_grid_point_bit_for_bit(self, shape):
+        spec = GridSpec(tuple(0.7 + a for a in range(len(shape))), shape)
+        x = coordinate_grid(spec)
+        for k, slot in lattice_slots(spec):
+            assert np.array_equal(x[(slice(None),) + slot], grid_point(spec, k))
 
 
-class TestFrequency:
+class TestFrequencyGrid:
     def test_unit_cell(self):
         spec = GridSpec((1.0, 1.0), (3, 3))
-        assert frequency(spec, (1, 0)) == pytest.approx([1.0, 0.0])
+        assert frequency_grid(spec)[:, 1, 0] == pytest.approx([1.0, 0.0])
 
     def test_scaled_cell(self):
         spec = GridSpec((2.0, 1.0), (3, 9))
-        assert frequency(spec, (1, 3)) == pytest.approx([0.5, 3.0])
+        assert frequency_grid(spec)[:, 1, 3] == pytest.approx([0.5, 3.0])
 
     def test_underlined_variant_is_ones_at_origin(self):
         spec = GridSpec((1.0, 1.0), (3, 3))
-        assert underlined_frequency(spec, (0, 0)) == pytest.approx([1.0, 1.0])
-        assert underlined_frequency(spec, (1, 0)) == pytest.approx([1.0, 0.0])
+        assert underlined_frequency_grid(spec)[:, 0, 0] == pytest.approx([1.0, 1.0])
+        assert underlined_frequency_grid(spec)[:, 1, 0] == pytest.approx([1.0, 0.0])
 
-    def test_accepts_indices_outside_lattice(self):
-        spec = spec_for((3,))
-        assert frequency(spec, (7,)) == pytest.approx([7.0])
+    def test_largest_index_of_a_finer_grid(self):
+        assert frequency_grid(spec_for((15,)))[:, 7] == pytest.approx([7.0])
 
 
 class TestLattice:
     def test_storage_order_1d(self):
-        assert list(iter_lattice(spec_for((3,)))) == [(0,), (1,), (-1,)]
+        assert index_grid(spec_for((3,)))[0].tolist() == [0, 1, -1]
 
     def test_1d_n5_members(self):
-        assert set(iter_lattice(spec_for((5,)))) == {(-2,), (-1,), (0,), (1,), (2,)}
+        assert set(index_grid(spec_for((5,)))[0].tolist()) == {-2, -1, 0, 1, 2}
 
     def test_2d_enumerates_each_index_once(self):
-        ks = list(iter_lattice(spec_for((3, 3))))
+        ks = [tuple(k) for k in index_grid(spec_for((3, 3))).reshape(2, -1).T]
         assert len(ks) == 9
         assert len(set(ks)) == 9
 
@@ -111,49 +116,33 @@ class TestLattice:
     @settings(max_examples=30, deadline=None)
     def test_lattice_symmetric_and_counted(self, shape):
         spec = spec_for(shape)
-        ks = set(iter_lattice(spec))
+        ks = {tuple(k) for k in index_grid(spec).reshape(spec.dim, -1).T}
         assert len(ks) == spec.total
-        for k in ks:
-            assert in_lattice(spec, tuple(-ki for ki in k))
+        assert {tuple(-ki for ki in k) for k in ks} == ks
 
     @given(shape=odd_shapes)
     @settings(max_examples=30, deadline=None)
     def test_grid_points_are_odd_in_the_index(self, shape):
-        spec = spec_for(shape)
-        for k in iter_lattice(spec):
-            neg = tuple(-ki for ki in k)
-            assert np.allclose(grid_point(spec, neg), -grid_point(spec, k))
+        x = coordinate_grid(spec_for(shape))
+        assert np.allclose(mirror(x), -x)
 
     @given(shape=odd_shapes)
     @settings(max_examples=30, deadline=None)
-    def test_slot_index_maps_are_inverse_bijections(self, shape):
-        spec = spec_for(shape)
-        for slot in np.ndindex(*shape):
-            k = slot_to_index(spec, slot)
-            assert in_lattice(spec, k)
-            assert index_to_slot(spec, k) == tuple(slot)
+    def test_indices_reduce_to_their_slots(self, shape):
+        n = np.reshape(shape, (-1,) + (1,) * len(shape))
+        ks = index_grid(spec_for(shape))
+        assert np.all(2 * np.abs(ks) < n)
+        assert np.array_equal(ks % n, np.indices(shape))
 
-    def test_index_to_slot_rejects_outside_lattice(self):
-        with pytest.raises(ValueError, match="outside"):
-            index_to_slot(spec_for((3,)), (5,))
+    def test_no_index_outside_lattice(self):
+        assert 2 * np.max(np.abs(index_grid(spec_for((3,))))) < 3
 
     def test_index_grid_matches_slot_map(self):
         spec = GridSpec((1.0, 1.0), (3, 5))
         ks = index_grid(spec)
         assert ks.shape == (2, 3, 5)
-        for slot in np.ndindex(*spec.shape):
-            assert tuple(ks[(slice(None),) + slot]) == slot_to_index(spec, slot)
-
-
-class TestCoordinateGrid:
-    @given(odd_shapes)
-    @settings(max_examples=25, deadline=None)
-    def test_matches_grid_point_bit_for_bit(self, shape):
-        spec = GridSpec(tuple(0.7 + a for a in range(len(shape))), shape)
-        x = coordinate_grid(spec)
-        for k in iter_lattice(spec):
-            slot = (slice(None),) + index_to_slot(spec, k)
-            assert np.array_equal(x[slot], grid_point(spec, k))
+        for k, slot in lattice_slots(spec):
+            assert tuple(ks[(slice(None),) + slot]) == k
 
 
 class TestNextFastOdd:

@@ -1,0 +1,28 @@
+"""The package's public surface, and the names the benchmark imports from it."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import fftcell
+
+# The per-point lattice map and per-mode Green block, which left the package.
+REMOVED = ["in_lattice", "grid_point", "frequency", "underlined_frequency", "slot_to_index",
+           "index_to_slot", "iter_lattice", "gamma_hat", "apply_gamma0"]
+
+
+@pytest.mark.parametrize("module", ["layers", "workloads"])
+def test_the_benchmark_modules_import(module, monkeypatch):
+    # Not run.py: it sets environment variables and may exit at import.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    importlib.import_module(module)
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(fftcell, name) for name in fftcell.__all__)
+
+
+@pytest.mark.parametrize("module", ["fftcell", "fftcell.grid", "fftcell.green"])
+def test_the_per_point_lattice_map_is_gone(module):
+    assert [name for name in REMOVED if hasattr(importlib.import_module(module), name)] == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fftcell.grid import GridSpec, frequency, grid_point, index_to_slot, iter_lattice
+from fftcell.grid import GridSpec, coordinate_grid
 from fftcell.transforms import (
     GridField,
     SpectralField,
@@ -17,11 +17,11 @@ from fftcell.transforms import (
     truncate,
 )
 
-from conftest import SMALL_SPECS, random_field
+from conftest import SMALL_SPECS, grid_point, lattice_slots, mirror, random_field
 
 
 def coeff(s, k):
-    return s.coeffs[(slice(None),) + index_to_slot(s.spec, k)]
+    return s.coeffs[(slice(None),) + tuple(ki % n for ki, n in zip(k, s.spec.shape))]
 
 
 def cosine_mode(spec, k):
@@ -29,7 +29,7 @@ def cosine_mode(spec, k):
 
     def f(x):
         out = np.zeros(spec.dim)
-        out[0] = np.cos(np.pi * float(frequency(spec, k) @ x))
+        out[0] = np.cos(np.pi * float(np.divide(k, spec.half_periods) @ x))
         return out
 
     return interpolate(f, spec)
@@ -62,17 +62,13 @@ class TestDft:
     def test_forward_output_is_conjugate_symmetric(self, rng):
         spec = GridSpec((1.0, 1.5), (5, 7))
         s = dft_forward(random_field(spec, rng))
-        for k in iter_lattice(spec):
-            neg = tuple(-ki for ki in k)
-            assert np.allclose(coeff(s, neg), np.conj(coeff(s, k)), atol=1e-12)
+        assert np.allclose(mirror(s.coeffs), np.conj(s.coeffs), atol=1e-12)
 
     def test_single_pair_inverts_to_cosine(self):
         spec = GridSpec((1.0,), (5,))
         s = truncate({(1,): [0.5], (-1,): [0.5]}, spec)
         u = dft_inverse(s)
-        expected = [np.cos(np.pi * grid_point(spec, k)[0]) for k in iter_lattice(spec)]
-        got = [u.values[(0,) + index_to_slot(spec, k)] for k in iter_lattice(spec)]
-        assert got == pytest.approx(expected)
+        assert u.values[0] == pytest.approx(np.cos(np.pi * coordinate_grid(spec)[0]))
 
     def test_inverse_rejects_broken_conjugate_symmetry(self):
         spec = GridSpec((1.0,), (5,))
@@ -126,8 +122,8 @@ class TestInterpolate:
             return np.sin(np.pi * x) + 0.1 * np.sum(x)
 
         expected = np.empty((spec.dim,) + spec.shape)
-        for k in iter_lattice(spec):
-            expected[(slice(None),) + index_to_slot(spec, k)] = f(grid_point(spec, k))
+        for k, slot in lattice_slots(spec):
+            expected[(slice(None),) + slot] = f(grid_point(spec, k))
         assert np.array_equal(interpolate(f, spec).values, expected)
 
 
@@ -137,10 +133,27 @@ class TestTruncate:
         s = truncate({(1,): [0.5], (-1,): [0.5], (2,): [1j], (-2,): [-1j]}, spec)
         assert coeff(s, (2,)) == pytest.approx([1j])
 
-    def test_discards_modes_outside_lattice(self):
+    @pytest.mark.parametrize("modes", [{(4,): [1.0], (-4,): [1.0], (10**30,): [1.0]}, {}], ids=str)
+    def test_discards_modes_outside_lattice(self, modes):
         spec = GridSpec((1.0,), (3,))
-        s = truncate({(4,): [1.0], (-4,): [1.0]}, spec)
+        s = truncate(modes, spec)
         assert np.max(np.abs(s.coeffs)) == 0.0
+
+    @pytest.mark.parametrize("key", [(1.5,), (0, 0), (), 1, (1.0,)], ids=str)
+    def test_rejects_malformed_keys(self, key):
+        with pytest.raises(ValueError, match="mode key"):
+            truncate({key: [2.0]}, GridSpec((1.0,), (5,)))
+
+    @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+    def test_equals_the_per_key_walk_bit_for_bit(self, spec, rng):
+        keys = {tuple(k) for k in rng.integers(-6, 7, size=(40, spec.dim)).tolist()}
+        modes = {k: rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+                 for k in keys}
+        expected = np.zeros((spec.dim,) + spec.shape, dtype=complex)
+        for k, slot in lattice_slots(spec):
+            if k in modes:
+                expected[(slice(None),) + slot] = modes[k]
+        assert np.array_equal(truncate(modes, spec).coeffs, expected)
 
     def test_never_increases_the_coefficient_norm(self, rng):
         spec = GridSpec((1.0,), (5,))
@@ -157,18 +170,17 @@ class TestTrigEval:
         spec = GridSpec((1.0, 1.5), (3, 5))
         u = random_field(spec, rng)
         s = dft_forward(u)
-        for k in iter_lattice(spec):
-            point_val = trig_eval(s, grid_point(spec, k))
-            grid_val = u.values[(slice(None),) + index_to_slot(spec, k)]
-            assert np.allclose(point_val, grid_val, atol=1e-12)
+        points = coordinate_grid(spec).reshape(spec.dim, -1).T
+        for x, grid_val in zip(points, u.values.reshape(spec.dim, -1).T):
+            assert np.allclose(trig_eval(s, x), grid_val, atol=1e-12)
 
     def test_matches_the_per_mode_sum_off_the_grid(self, rng):
         spec = GridSpec((0.7, 1.3, 1.1), (5, 3, 7))
         s = dft_forward(random_field(spec, rng))
         for x in rng.uniform(-2.0, 2.0, size=(5, 3)):
             expected = sum(
-                coeff(s, k) * np.exp(1j * np.pi * float(frequency(spec, k) @ x))
-                for k in iter_lattice(spec)
+                coeff(s, k) * np.exp(1j * np.pi * float(np.divide(k, spec.half_periods) @ x))
+                for k, _ in lattice_slots(spec)
             )
             got = trig_eval(s, x)
             assert np.max(np.abs(got - expected.real)) <= 1e-14 * np.max(np.abs(expected))
