@@ -197,8 +197,8 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
             M[:, j] = op(e.reshape(shape)).ravel()
         return M
 
-    G = columns(green.G0)
-    M_sys = columns(lambda v: green.G0(contract(a.data, v)))
+    G = columns(green.gamma0)
+    M_sys = columns(lambda v: green.gamma0(contract(a.data, v)))
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)
     B = U[:, s > 0.5]

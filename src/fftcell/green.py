@@ -3,24 +3,19 @@ discrete Helmholtz projectors built from it.
 
 Per mode the kernel is the rank-one block
 
-    Gamma_hat(k) = xi(k) (x) xi(k) / <A0 xi(k), xi(k)>,   Gamma_hat(0) = 0,
+    Gamma_hat(k) = xi (x) xi / <A0 xi, xi> = n(k) gamma_scale(k) n(k)^T
 
-that is ``n(k) (x) n(k)`` with the unit vector
-``n(k) = xi(k) / sqrt(<A0 xi(k), xi(k)>)`` and ``n(0) = 0``.
-:class:`GreenOperator` stores ``n`` once and applies
+with the grid's direction ``n(k) = xi(k) / |xi(k)|``, ``n(0) = 0``, and the
+reference scale ``gamma_scale(k) = 1 / <A0 n(k), n(k)>``: the float
+``1/lambda`` for ``A0 = lambda I``, else one value per mode, 0 at ``k = 0``.
+``G0 = Gamma0 A0`` projects onto the curl-free zero-mean subspace, the range
+of Gamma0 for every A0; for a scalar reference it is the orthogonal
+projection, Gamma0 of ``A0 = I`` whatever lambda.
 
-    Gamma0 v = n (n . v_hat),      G0 v = Gamma0 A0 v = n ((A0 n) . v_hat).
-
-G0 is a projection onto the curl-free zero-mean subspace; for scalar
-``A0 = lambda I`` it is the orthogonal projection, independent of lambda,
-and Gamma0 is that projection divided by lambda.
-
-The fields are real, so their spectra are Hermitian and only the half
-lattice ``k_d >= 0`` of ``rfftn`` is transformed and multiplied.  Every
-``N_a`` is odd, so there is no Nyquist mode ``k_a = -N_a/2`` without a
-partner ``-k`` on the lattice: the discarded half is the conjugate of the
-kept one, ``n(-k) = -n(k)`` keeps the product Hermitian, and ``irfftn``
-reconstructs the real field exactly.
+The fields are real, so only the half lattice ``k_d >= 0`` of ``rfftn`` is
+transformed and multiplied.  Every ``N_a`` is odd, so each mode has its
+partner ``-k`` on the lattice: ``n(-k) = -n(k)`` keeps the product
+Hermitian and ``irfftn`` reconstructs the real field exactly.
 """
 
 from __future__ import annotations
@@ -81,22 +76,23 @@ class ReferenceTensor:
 class GreenOperator:
     """Green operator of one (grid, reference) pair on the half spectrum.
 
-    Built once per homogenization: stores the unit vectors ``n(k)`` on the
+    Built once per homogenization: stores ``n`` and ``gamma_scale`` on the
     ``rfftn`` half lattice and one complex half-spectrum workspace.  The
-    range of ``Gamma0`` and ``G0`` is the set of fields ``irfftn(n s)``,
-    one complex scalar ``s(k)`` per half-lattice mode, and the operator is
-    applied in two halves that the solvers also call on their own:
+    range of ``Gamma0`` is the set of fields ``irfftn(n s)``, one complex
+    scalar ``s(k)`` per half-lattice mode, and :meth:`gamma0` is applied in
+    two halves that the solvers also call on their own:
 
     * :meth:`analyze` runs numpy's per-axis passes of ``rfftn`` in place in
-      the workspace and takes ``s = n . v_hat``;
+      the workspace and takes ``s = gamma_scale (n . v_hat)``;
     * :meth:`synthesize` forms ``n s`` in the workspace and runs the passes
       of ``irfftn`` into a real ``(d, *N)`` field.
 
-    Their composition equals ``irfftn(n (n . rfftn(v)))`` bit for bit
-    without allocating.  :meth:`inner` is the mean inner product of two
-    synthesized fields, computed on the scalars.  The workspace makes an
-    operator unsafe to share between threads.  ``ref=None`` means
-    ``A0 = I``.
+    Their composition equals ``irfftn(n (gamma_scale (n . rfftn(v))))`` bit
+    for bit without allocating.  :meth:`inner` is the mean inner product of
+    two synthesized fields, computed on the scalars.  A tensor reference
+    adds only the real per-mode ``gamma_scale`` to what a scalar one keeps.
+    The workspace makes an operator unsafe to share between threads.
+    ``ref=None`` means ``A0 = I``.
     """
 
     def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
@@ -108,23 +104,21 @@ class GreenOperator:
         self.ref = ref
         # The first N_d // 2 + 1 storage slots of the last axis hold k_d >= 0.
         xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
-        scalar = ref.scalar_mode
-        # A scalar reference cancels from G0 and scales Gamma0 by 1/lambda.
-        metric = np.eye(spec.dim) if scalar else ref.matrix
-        denom = np.einsum("a...,ab,b...->...", xi, metric, xi)
-        denom[(0,) * spec.dim] = np.inf  # n(0) = 0
-        self.n = xi / np.sqrt(denom)
-        self.A0n = self.n if scalar else np.einsum("ab,b...->a...", metric, self.n)
-        self.gamma_scale = 1.0 / scalar if scalar else 1.0
-        # |n(k)|^2 weights the inner product; it is 1 (0 at k = 0, where
-        # every s vanishes) for a scalar reference.
-        self._weight = None if scalar else np.einsum("a...,a...->...", self.n, self.n)
+        norm2 = np.einsum("a...,a...->...", xi, xi)
+        norm2.flat[0] = np.inf  # n(0) = 0
+        self.n = xi / np.sqrt(norm2)
+        if ref.scalar_mode:
+            self.gamma_scale = 1.0 / ref.scalar_mode
+        else:
+            scale = np.einsum("a...,ab,b...->...", self.n, ref.matrix, self.n)
+            scale.flat[0] = np.inf  # gamma_scale(0) = 0
+            self.gamma_scale = np.reciprocal(scale, out=scale)
         self._spectrum = np.empty(self.n.shape, dtype=complex)
         self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
-    def analyze(self, values, out=None, right=None):
-        """``right . rfftn(values)`` on the half lattice, ``right = n`` by
-        default, into ``out`` (a fresh array when None)."""
+    def analyze(self, values, out=None):
+        """The half-lattice scalars ``gamma_scale (n . rfftn(values))`` of
+        ``Gamma0 values``, into ``out`` (a fresh array when None)."""
         spectrum = self._spectrum
         d = self.spec.dim
         np.fft.rfft(values, axis=d, out=spectrum)
@@ -132,8 +126,9 @@ class GreenOperator:
             np.fft.fft(spectrum, axis=axis, out=spectrum)
         if out is None:
             out = np.empty_like(self._dots)
-        right = self.n if right is None else right
-        return np.einsum("a...,a...->...", right, spectrum, out=out)
+        np.einsum("a...,a...->...", self.n, spectrum, out=out)
+        out *= self.gamma_scale
+        return out
 
     def synthesize(self, s, out=None):
         """The real field ``irfftn(n s)`` into ``out`` (a fresh ``(d, *N)``
@@ -148,34 +143,28 @@ class GreenOperator:
         """Mean inner product ``(1/|N|) sum_x u(x) . v(x)`` of the fields
         ``u``, ``v`` that :meth:`synthesize` makes of ``s``, ``t``.
 
-        By Plancherel it is ``(1/|N|^2) sum_k |n(k)|^2 conj(s(k)) t(k)``
-        over the whole lattice.  The modes ``k_d < 0`` are the conjugates
+        By Plancherel it is ``(1/|N|^2) sum_k conj(s(k)) t(k)`` over the
+        whole lattice, as ``|n(k)| = 1`` off the mean mode, where every
+        analyzed scalar vanishes.  The modes ``k_d < 0`` are the conjugates
         of the ``k_d > 0`` ones, so the half-lattice sum is counted twice
         and its ``k_d = 0`` plane, which holds its own conjugates, once.
-        The weight goes through the dot-product scratch; only the
-        ``k_d = 0`` slices are copied.
         """
-        if self._weight is not None:
-            t = np.multiply(self._weight, t, out=self._dots)
         total = 2.0 * np.vdot(s, t).real - np.vdot(s[..., 0], t[..., 0]).real
         return float(total / self.spec.total**2)
 
     def gamma0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``Gamma0 v = n (n . v_hat)`` on a ``(d, *N)`` array; ``out`` may
-        be ``values``."""
-        dots = self.analyze(values, self._dots)
-        dots *= self.gamma_scale
-        return self.synthesize(dots, out)
-
-    def G0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``G0 v = Gamma0 A0 v = n ((A0 n) . v_hat)`` on a ``(d, *N)``
-        array; ``out`` may be ``values``."""
-        return self.synthesize(self.analyze(values, self._dots, self.A0n), out)
+        """``Gamma0 v = n gamma_scale (n . v_hat)`` on a ``(d, *N)`` array;
+        ``out`` may be ``values``."""
+        return self.synthesize(self.analyze(values, self._dots), out)
 
 
 def apply_G0(u: GridField, ref: ReferenceTensor) -> GridField:
-    """Projection G0 = Gamma0 A0 onto the curl-free zero-mean subspace."""
-    return GridField(u.spec, GreenOperator(u.spec, ref).G0(u.values))
+    """Projection ``G0 = Gamma0 A0`` onto the curl-free zero-mean subspace;
+    Gamma0 of ``A0 = I`` for every scalar reference ``lambda I``."""
+    if ref.scalar_mode:
+        return GridField(u.spec, GreenOperator(u.spec).gamma0(u.values))
+    A0u = np.einsum("ab,b...->a...", ref.matrix, u.values)
+    return GridField(u.spec, GreenOperator(u.spec, ref).gamma0(A0u))
 
 
 def project_mean(u: GridField) -> GridField:

@@ -282,8 +282,10 @@ def save_coefficients(path, a: CoefficientField, kind="symmetric-tensor"):
         if a.data.shape != a.spec.shape:
             raise MaterialDataError("field is not isotropic; cannot save as such")
         save_voxel(path, a.spec, a.data, "isotropic")
-    else:
+    elif kind == "symmetric-tensor":
         save_voxel(path, a.spec, a.components, "symmetric-tensor")
+    else:
+        raise MaterialDataError(f"cannot save coefficients as kind {kind!r}")
 
 
 def save_field(path, u: GridField):

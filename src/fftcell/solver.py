@@ -105,8 +105,8 @@ class SolveReport:
 
 
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
-    """System operator ``G A u`` with the orthogonal (scalar-independent) G."""
-    return GridField(a.spec, GreenOperator(a.spec).G0(apply_A(a, u).values))
+    """System operator ``G A u`` with the orthogonal G, Gamma0 of ``A0 = I``."""
+    return GridField(a.spec, GreenOperator(a.spec).gamma0(apply_A(a, u).values))
 
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:
@@ -186,13 +186,7 @@ def solve(
     # Packed contraction cannot write into its input.
     flux = field if a.data.ndim == spec.dim else np.empty_like(field)
 
-    def operator(out):
-        """``out = Gamma0 A field`` as half-lattice scalars."""
-        out = green.analyze(contract(a.data, field, out=flux), out)
-        out *= green.gamma_scale
-        return out
-
-    r = operator(None)
+    r = green.analyze(contract(a.data, field, out=flux))
     np.negative(r, out=r)  # the residual of x = 0
     Ap = np.empty_like(r)
     x = np.zeros_like(r)
@@ -239,7 +233,7 @@ def solve(
         if i == cfg.max_iter:
             return report(i, False, "max_iter exceeded")
         green.synthesize(p, field)
-        operator(Ap)
+        green.analyze(contract(a.data, field, out=flux), Ap)  # Gamma0 A p
         if cg:
             pAp = green.inner(p, Ap)
             if pAp <= 0:

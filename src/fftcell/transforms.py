@@ -202,7 +202,8 @@ def interpolation_constant(r: float, s: float, dim: int):
     Evaluates ``1 + d^r rho_h^{2r} S`` with rho_h = 1 and
     ``S = sum_{m in N_0^d \\ 0} |m|^{-2s}`` by direct summation over
     ``|m|_inf <= M``, growing M until the integral-comparison tail bound
-    drops below 1e-6 of the partial sum.  Requires ``s > d/2``.
+    drops below 1e-6 of the partial sum.  Requires ``s > d/2``; raises
+    ValueError when the bound is not met before the box exceeds 2**24 points.
 
     Returns the constant for unit spacing ratio; multiply the lattice-sum
     term by ``rho_h^{2r}`` externally for anisotropic grids.
@@ -211,6 +212,8 @@ def interpolation_constant(r: float, s: float, dim: int):
         raise ValueError(f"lattice sum diverges: need s > d/2, got s={s}, d={dim}")
     M = 8
     while True:
+        if (M + 1) ** dim > 2**24:
+            raise ValueError(f"lattice sum for r={r}, s={s}, d={dim} needs over 2**24 points")
         axes = [np.arange(0, M + 1)] * dim
         mesh = np.meshgrid(*axes, indexing="ij")
         norm2 = sum(m.astype(float) ** 2 for m in mesh)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,12 +72,13 @@ class TestReferenceTensor:
 
 
 class TestGammaHat:
-    """The block ``gamma_scale n(k) (x) n(k)`` that GreenOperator stores."""
+    """The block ``n(k) gamma_scale(k) n(k)^T`` that GreenOperator stores."""
 
     def block(self, ref, k):
         green = GreenOperator(GridSpec((1.0, 1.0), (3, 3)), ref)
         n = green.n[:, k[0], k[1]]
-        return green.gamma_scale * np.outer(n, n)
+        scale = np.broadcast_to(green.gamma_scale, green.n.shape[1:])[k]
+        return scale * np.outer(n, n)
 
     def test_zero_block_at_the_mean_mode(self):
         ref = ReferenceTensor.scalar(1.0, 2)
@@ -251,7 +254,7 @@ class TestGreenOperator:
         u = random_field(spec, rng)
         u_hat = dft_forward(u).coeffs
         gamma_out = dft_forward(GridField(spec, green.gamma0(u.values))).coeffs
-        g0_out = dft_forward(GridField(spec, green.G0(u.values))).coeffs
+        g0_out = dft_forward(apply_G0(u, ref)).coeffs
         for k, slot in lattice_slots(spec):
             at = (slice(None),) + slot
             block = gamma_hat(k, ref, spec)
@@ -268,14 +271,15 @@ class TestGreenOperator:
         assert default.ref.scalar_mode == 1.0
         u = random_field(spec, rng).values
         assert np.array_equal(default.gamma0(u), unit.gamma0(u))
-        assert np.array_equal(default.G0(u), unit.G0(u))
+        assert np.array_equal(apply_G0(GridField(spec, u), unit.ref).values, default.gamma0(u))
 
     def test_G0_is_idempotent_for_a_general_reference(self, rng):
         spec = self.SPEC_3D
-        green = GreenOperator(spec, random_spd_reference(spec.dim, rng))
-        once = green.G0(random_field(spec, rng).values)
-        twice = green.G0(once)
-        assert np.max(np.abs(twice - once)) <= 1e-12 * max(1.0, np.max(np.abs(once)))
+        ref = random_spd_reference(spec.dim, rng)
+        once = apply_G0(random_field(spec, rng), ref)
+        twice = apply_G0(once, ref)
+        scale = max(1.0, np.max(np.abs(once.values)))
+        assert np.max(np.abs(twice.values - once.values)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("ref_kind", ["none", "scalar"])
     def test_scalar_reference_output_is_curl_free_and_mean_free(self, ref_kind, rng):
@@ -283,7 +287,7 @@ class TestGreenOperator:
         ref = None if ref_kind == "none" else random_spd_reference(3, rng, scalar=True)
         green = GreenOperator(spec, ref)
         u = random_field(spec, rng)
-        for out in (green.gamma0(u.values), green.G0(u.values)):
+        for out in (green.gamma0(u.values), apply_G0(u, green.ref).values):
             field = GridField(spec, out)
             assert curl_residual(field) <= 1e-13
             assert mean_residual(field) <= 1e-14
@@ -294,8 +298,8 @@ class TestGreenOperator:
         u = random_field(spec, rng).values
         plain = GreenOperator(spec)
         scalar = GreenOperator(spec, ReferenceTensor.scalar(lam, spec.dim))
-        assert np.array_equal(scalar.G0(u), plain.G0(u))
-        assert np.allclose(lam * scalar.gamma0(u), plain.G0(u), rtol=0, atol=1e-14)
+        assert np.array_equal(apply_G0(GridField(spec, u), scalar.ref).values, plain.gamma0(u))
+        assert np.allclose(lam * scalar.gamma0(u), plain.gamma0(u), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
     @pytest.mark.parametrize("ref_kind", ["none", "scalar", "general"])
@@ -307,13 +311,50 @@ class TestGreenOperator:
         }[ref_kind]
         green = GreenOperator(spec, ref)
         u = random_field(spec, rng).values
-        for out in (green.gamma0(u), green.G0(u)):
+        for out in (green.gamma0(u), apply_G0(GridField(spec, u), green.ref).values):
             assert out.dtype == np.float64
             assert out.shape == (spec.dim,) + spec.shape
 
     def test_reference_dimension_is_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             GreenOperator(GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor.scalar(1.0, 3))
+
+    def test_the_direction_belongs_to_the_grid(self, rng):
+        spec = self.SPEC_3D
+        refs = [None, random_spd_reference(3, rng, scalar=True), random_spd_reference(3, rng)]
+        plain, *others = [GreenOperator(spec, ref).n for ref in refs]
+        for n in others:
+            assert np.array_equal(n, plain)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3)], ids=str)
+    def test_tensor_reference_analyzes_a_constant_to_zero(self, shape, rng):
+        spec = GridSpec((1.0,) * len(shape), shape)
+        green = GreenOperator(spec, random_spd_reference(spec.dim, rng))
+        assert green.gamma_scale[(0,) * spec.dim] == 0.0
+        assert np.isfinite(green.gamma_scale).all()
+        # The 3-point DFT of a constant vanishes exactly off the mean mode.
+        constant = GridField.constant(spec, rng.standard_normal(spec.dim)).values
+        assert np.count_nonzero(green.analyze(constant)) == 0
+
+
+class TestMemory:
+    """What a tensor-reference operator keeps, in units of one ``(d, *N)``
+    float64 field: ``n`` (1/2), the complex workspace (1), the complex dot
+    scratch (1/d) and the per-mode scale (1/(2d)), 2.04 fields in 3-D."""
+
+    def test_tensor_reference_operator_at_49_cubed(self):
+        spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))
+        ref = ReferenceTensor(np.diag([1.0, 2.0, 3.0]) + 0.3)
+        field = spec.dim * spec.total * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            green = GreenOperator(spec, ref)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2.15 * field
+        assert green.gamma_scale.shape == green.n.shape[1:]
 
 
 class TestInPlaceApplication:
@@ -327,50 +368,54 @@ class TestInPlaceApplication:
     ]
 
     @staticmethod
-    def cases(spec):
-        """Reference tensors with the scale that Gamma0 applies."""
-        yield ReferenceTensor.scalar(2.5, spec.dim), 1.0 / 2.5
-        if spec.dim == 2:
-            yield ReferenceTensor(np.diag([2.5, 2.0])), 1.0
+    def refs(spec):
+        yield ReferenceTensor.scalar(2.5, spec.dim)
+        if spec.dim >= 2:
+            yield ReferenceTensor(np.diag(np.linspace(2.5, 2.0, spec.dim)))
 
     @staticmethod
-    def plain(green, values, right, scale):
+    def plain(green, values):
         axes = tuple(range(1, green.spec.dim + 1))
-        dots = np.einsum("a...,a...->...", right, np.fft.rfftn(values, axes=axes))
-        dots *= scale
-        return np.fft.irfftn(green.n * dots, s=green.spec.shape, axes=axes)
+        dots = np.einsum("a...,a...->...", green.n, np.fft.rfftn(values, axes=axes))
+        return np.fft.irfftn(green.n * (green.gamma_scale * dots), s=green.spec.shape, axes=axes)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_equals_the_plain_composition_bit_for_bit(self, spec, rng):
-        for ref, scale in self.cases(spec):
+        for ref in self.refs(spec):
             green = GreenOperator(spec, ref)
             u = random_field(spec, rng).values
-            gamma = self.plain(green, u, green.n, scale)
-            g0 = self.plain(green, u, green.A0n, 1.0)
-            assert np.array_equal(green.gamma0(u), gamma)
-            assert np.array_equal(green.G0(u), g0)
-            for apply, expected in ((green.gamma0, gamma), (green.G0, g0)):
-                inplace = u.copy()
-                assert apply(inplace, out=inplace) is inplace
-                assert np.array_equal(inplace, expected)
+            expected = self.plain(green, u)
+            assert np.array_equal(green.gamma0(u), expected)
+            inplace = u.copy()
+            assert green.gamma0(inplace, out=inplace) is inplace
+            assert np.array_equal(inplace, expected)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_synthesis_of_the_analysis_is_the_operator_bit_for_bit(self, spec, rng):
-        for ref, scale in self.cases(spec):
+        for ref in self.refs(spec):
             green = GreenOperator(spec, ref)
             u = random_field(spec, rng).values
             s = green.analyze(u)
             assert s.shape == green.n.shape[1:] and s.dtype == complex
-            assert np.array_equal(green.synthesize(scale * s), green.gamma0(u))
-            g0 = green.synthesize(green.analyze(u, right=green.A0n))
-            assert np.array_equal(g0, green.G0(u))
+            assert np.array_equal(green.synthesize(s), green.gamma0(u))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_G0_is_gamma0_of_A0_bit_for_bit(self, spec, rng):
+        for ref in self.refs(spec):
+            u = random_field(spec, rng)
+            if ref.scalar_mode:
+                expected = GreenOperator(spec).gamma0(u.values)
+            else:
+                A0u = np.einsum("ab,b...->a...", ref.matrix, u.values)
+                expected = GreenOperator(spec, ref).gamma0(A0u)
+            assert np.array_equal(apply_G0(u, ref).values, expected)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_results_without_out_are_fresh_arrays(self, spec, rng):
         green = GreenOperator(spec, ReferenceTensor.scalar(2.5, spec.dim))
         first = green.gamma0(random_field(spec, rng).values)
         kept = first.copy()
-        second = green.G0(random_field(spec, rng).values)
+        second = green.gamma0(random_field(spec, rng).values)
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, green._spectrum)
         assert np.array_equal(first, kept)

@@ -310,6 +310,13 @@ class TestLeanStorage:
         with pytest.raises(MaterialDataError, match="not isotropic"):
             save_coefficients(tmp_path / "a.json", a, kind="isotropic")
 
+    @pytest.mark.parametrize("kind", ["vector", "bogus"])
+    def test_unknown_save_kind_rejected(self, kind, tmp_path, rng):
+        a = random_spd_field(GridSpec((1.0, 1.0), (5, 5)), rng)
+        with pytest.raises(MaterialDataError, match=repr(kind)):
+            save_coefficients(tmp_path / "a.json", a, kind=kind)
+        assert not (tmp_path / "a.json").exists()
+
     def test_subnormal_coefficient_scale_rejected(self):
         spec = GridSpec((1.0, 1.0), (3, 3))
         with pytest.raises(MaterialDataError, match="subnormal"):

@@ -1,11 +1,14 @@
 """The package's public surface, and the names the benchmark imports from it."""
 
 import importlib
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fftcell
+from fftcell.green import GreenOperator, ReferenceTensor
 
 # The per-point lattice map and per-mode Green block, which left the package.
 REMOVED = ["in_lattice", "grid_point", "frequency", "underlined_frequency", "slot_to_index",
@@ -26,3 +29,9 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("module", ["fftcell", "fftcell.grid", "fftcell.green"])
 def test_the_per_point_lattice_map_is_gone(module):
     assert [name for name in REMOVED if hasattr(importlib.import_module(module), name)] == []
+
+
+def test_the_green_operator_has_one_kernel():
+    green = GreenOperator(fftcell.GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor(np.diag([2.0, 1.0])))
+    assert [name for name in ("G0", "A0n", "_weight") if hasattr(green, name)] == []
+    assert "right" not in inspect.signature(GreenOperator.analyze).parameters

@@ -276,6 +276,21 @@ class TestInterpolationConstant:
         with pytest.raises(ValueError, match="diverges"):
             interpolation_constant(0.0, 0.5, 1)
 
+    @pytest.mark.parametrize("r, s, dim", [(0.0, 2.0, 3), (1.0, 1.2, 2)])
+    def test_slowly_converging_sum_is_refused_before_memory_runs_out(
+        self, r, s, dim, monkeypatch
+    ):
+        meshgrid = np.meshgrid
+
+        def guarded(*axes, **kwargs):
+            points = int(np.prod([len(a) for a in axes]))
+            assert points <= 2**24, f"meshgrid asked for {points} points"
+            return meshgrid(*axes, **kwargs)
+
+        monkeypatch.setattr(np, "meshgrid", guarded)
+        with pytest.raises(ValueError, match=rf"r={r}, s={s}, d={dim}"):
+            interpolation_constant(r, s, dim)
+
 
 class TestFieldTypes:
     def test_grid_field_shape_validated(self):
