@@ -16,15 +16,22 @@ The fields are real, so only the half lattice ``k_d >= 0`` of ``rfftn`` is
 transformed and multiplied.  Every ``N_a`` is odd, so each mode has its
 partner ``-k`` on the lattice: ``n(-k) = -n(k)`` keeps the product
 Hermitian and ``irfftn`` reconstructs the real field exactly.
+
+:meth:`GreenOperator.single` gives the float32 twin of the projector
+that CG runs its operator products on.  Its passes use
+``norm="ortho"``: numpy scales a ``"backward"`` forward pass by the
+Python int 1, which sends a float32 array through the float64 loop and
+makes it slower than a float64 pass.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, frequency_grid
+from .grid import GridSpec, half_frequency_grid
 from .transforms import GridField
 
 
@@ -102,11 +109,11 @@ class GreenOperator:
             raise ValueError("reference tensor dimension does not match grid")
         self.spec = spec
         self.ref = ref
-        # The first N_d // 2 + 1 storage slots of the last axis hold k_d >= 0.
-        xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
+        xi = half_frequency_grid(spec)
         norm2 = np.einsum("a...,a...->...", xi, xi)
         norm2.flat[0] = np.inf  # n(0) = 0
-        self.n = xi / np.sqrt(norm2)
+        self.n = np.divide(xi, np.sqrt(norm2, out=norm2), out=xi)
+        del norm2  # the construction peaks at what the operator keeps
         if ref.scalar_mode:
             self.gamma_scale = 1.0 / ref.scalar_mode
         else:
@@ -116,19 +123,49 @@ class GreenOperator:
         self._spectrum = np.empty(self.n.shape, dtype=complex)
         self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
+    _norm = None  # numpy's default "backward" scaling of the passes
+
+    def single(self) -> GreenOperator:
+        """The float32 twin of the operator of ``A0 = I``, the orthogonal
+        projector G; Gamma0 of a scalar reference ``lambda I`` is
+        ``G / lambda``, so a caller folds ``1/lambda`` into its float32
+        coefficients.
+
+        The twin keeps ``n`` as float32 and runs its passes in this
+        operator's workspace, reinterpreted as complex64, so it adds a
+        quarter of a ``(d, *N)`` float64 field.  Given float32 fields and
+        complex128 scalars, :meth:`synthesize` and :meth:`analyze` run the
+        FFT passes in single precision and accumulate ``n . v_hat`` into
+        complex128.  Every pass is ``norm="ortho"``: numpy scales a
+        ``"backward"`` forward pass by the Python int 1, which sends a
+        float32 array through its float64 loop (1.9 ms against 0.36 ms for
+        a 243 x 243 float32 ``rfft``, 0.7-1.0 ms in float64).  The twin's
+        synthesis is thus ``sqrt|N|`` times, and its analysis ``1/sqrt|N|``
+        times, this operator's; their composition has the same scale.
+        """
+        if not self.ref.scalar_mode:
+            raise ValueError("a float32 twin needs a scalar reference")
+        twin = copy.copy(self)
+        twin.ref = ReferenceTensor.scalar(1.0, self.spec.dim)
+        twin.gamma_scale = 1.0
+        twin.n = self.n.astype(np.float32)
+        twin._spectrum = narrow_view(self._spectrum, np.complex64)
+        twin._dots = narrow_view(self._dots, np.complex64)
+        twin._norm = "ortho"
+        return twin
+
     def analyze(self, values, out=None):
         """The half-lattice scalars ``gamma_scale (n . rfftn(values))`` of
         ``Gamma0 values``, into ``out`` (a fresh array when None)."""
         spectrum = self._spectrum
         d = self.spec.dim
-        np.fft.rfft(values, axis=d, out=spectrum)
+        np.fft.rfft(values, axis=d, out=spectrum, norm=self._norm)
         for axis in range(d - 1, 0, -1):
-            np.fft.fft(spectrum, axis=axis, out=spectrum)
+            np.fft.fft(spectrum, axis=axis, out=spectrum, norm=self._norm)
+        dots = np.einsum("a...,a...->...", self.n, spectrum, out=self._dots)
         if out is None:
-            out = np.empty_like(self._dots)
-        np.einsum("a...,a...->...", self.n, spectrum, out=out)
-        out *= self.gamma_scale
-        return out
+            out = np.empty(dots.shape, dtype=complex)
+        return np.multiply(dots, self.gamma_scale, out=out)
 
     def synthesize(self, s, out=None):
         """The real field ``irfftn(n s)`` into ``out`` (a fresh ``(d, *N)``
@@ -136,8 +173,10 @@ class GreenOperator:
         spectrum = self._spectrum
         np.multiply(self.n, s, out=spectrum)
         for axis in range(1, self.spec.dim):
-            np.fft.ifft(spectrum, axis=axis, out=spectrum)
-        return np.fft.irfft(spectrum, n=self.spec.shape[-1], axis=self.spec.dim, out=out)
+            np.fft.ifft(spectrum, axis=axis, out=spectrum, norm=self._norm)
+        return np.fft.irfft(
+            spectrum, n=self.spec.shape[-1], axis=self.spec.dim, out=out, norm=self._norm
+        )
 
     def inner(self, s, t) -> float:
         """Mean inner product ``(1/|N|) sum_x u(x) . v(x)`` of the fields
@@ -156,6 +195,16 @@ class GreenOperator:
         """``Gamma0 v = n gamma_scale (n . v_hat)`` on a ``(d, *N)`` array;
         ``out`` may be ``values``."""
         return self.synthesize(self.analyze(values, self._dots), out)
+
+
+def narrow_view(array: np.ndarray, dtype) -> np.ndarray:
+    """The leading bytes of the C-contiguous ``array`` reinterpreted as an
+    array of the same shape and the narrower ``dtype``: a float32 view of
+    a float64 buffer, or a complex64 view of a complex128 one."""
+    if not array.flags.c_contiguous:
+        raise ValueError("narrow_view needs a C-contiguous array")
+    flat = array.reshape(-1).view(dtype)
+    return flat[: array.size].reshape(array.shape)
 
 
 def apply_G0(u: GridField, ref: ReferenceTensor) -> GridField:

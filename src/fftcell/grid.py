@@ -16,9 +16,11 @@ the frequency index FFT-shifted: array slot ``i_a`` holds the centered index
 
 i.e. slot 0 holds ``k = 0``.  This is the standard ``numpy.fft`` layout
 (``np.fft.fftfreq(N, d=1/N)`` enumerates exactly this map), so transforms
-need no explicit shifting.  :func:`index_grid` writes the map out for the
-whole grid; the grid points ``x^k = (k_a h_a)_a`` and the frequencies
-``xi(k) = k / Y`` are read from it.
+need no explicit shifting.  :func:`axis_indices` writes the map out for
+one axis, and :func:`axis_grid` broadcasts one 1-D vector per axis into
+the ``(d, *N)`` arrays: the indices, the grid points ``x^k = (k_a h_a)_a``
+and the frequencies ``xi(k) = k / Y``, on the whole lattice or on the
+``rfftn`` half lattice.
 """
 
 from __future__ import annotations
@@ -81,29 +83,48 @@ class GridSpec:
         return self.C_h / self.c_h
 
 
-def index_grid(spec):
-    """Centered integer indices per axis, shaped for broadcasting.
+def axis_indices(n):
+    """Centered integer index ``k`` held by each of the ``n`` storage slots
+    of one axis, per the storage-order map."""
+    return np.fft.fftfreq(n, d=1.0 / n).round().astype(int)
 
-    Returns an array of shape ``(d, *N)`` whose slot ``i`` along axis ``a``
-    holds ``k_a`` per the storage-order map.
-    """
-    axes = [np.fft.fftfreq(n, d=1.0 / n).round().astype(int) for n in spec.shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh)
+
+def axis_grid(vectors):
+    """The ``(d, *shape)`` array whose component ``a`` holds ``vectors[a][i]``
+    at every slot ``i`` along axis ``a``: one 1-D vector per axis, broadcast
+    into a single array, with no full-lattice temporary."""
+    dim = len(vectors)
+    out = np.empty((dim,) + tuple(len(v) for v in vectors), dtype=np.result_type(*vectors))
+    for axis, v in enumerate(vectors):
+        out[axis] = v.reshape([-1 if a == axis else 1 for a in range(dim)])
+    return out
+
+
+def index_grid(spec):
+    """Centered integer indices per axis, shape ``(d, *N)``: slot ``i``
+    along axis ``a`` holds ``k_a`` per the storage-order map."""
+    return axis_grid([axis_indices(n) for n in spec.shape])
 
 
 def coordinate_grid(spec):
     """Grid points ``x^k = (k_a h_a)_a`` for the whole lattice, shape
     ``(d, *N)``."""
-    h = np.array(spec.spacings).reshape((spec.dim,) + (1,) * spec.dim)
-    return index_grid(spec) * h
+    return axis_grid([axis_indices(n) * h for n, h in zip(spec.shape, spec.spacings)])
 
 
 def frequency_grid(spec):
-    """Frequency vectors ``xi(k)`` for the whole lattice, shape ``(d, *N)``."""
-    ks = index_grid(spec).astype(float)
-    Y = np.array(spec.half_periods).reshape((spec.dim,) + (1,) * spec.dim)
-    return ks / Y
+    """Frequency vectors ``xi(k) = k / Y`` for the whole lattice, shape
+    ``(d, *N)``."""
+    return axis_grid([axis_indices(n) / y for n, y in zip(spec.shape, spec.half_periods)])
+
+
+def half_frequency_grid(spec):
+    """Frequency vectors ``xi(k)`` on the ``rfftn`` half lattice, shape
+    ``(d, *N[:-1], N_d // 2 + 1)``: the first ``N_d // 2 + 1`` slots of the
+    last axis, which hold ``k_d >= 0``."""
+    vectors = [axis_indices(n) / y for n, y in zip(spec.shape, spec.half_periods)]
+    vectors[-1] = vectors[-1][: spec.shape[-1] // 2 + 1]
+    return axis_grid(vectors)
 
 
 def underlined_frequency_grid(spec):

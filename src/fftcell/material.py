@@ -190,7 +190,10 @@ def sample_analytic(f, spec: GridSpec) -> CoefficientField:
 
 
 def contract(
-    data: np.ndarray, values: np.ndarray, out: np.ndarray | None = None
+    data: np.ndarray,
+    values: np.ndarray,
+    out: np.ndarray | None = None,
+    row: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pointwise ``A u`` from coefficient storage: ``data`` holds scalars
     ``(*N)`` or packed components ``(d(d+1)/2, *N)`` as in
@@ -200,7 +203,9 @@ def contract(
 
     The scalar case is one multiply, which equals the full-tensor sum
     ``a u_a + 0 u_b`` bit for bit.  The packed case adds the off-diagonal
-    products to the diagonal ones through one ``(*N)`` scratch row.
+    products to the diagonal ones through one ``(*N)`` scratch row: ``row``
+    when given, so that a caller in a loop allocates nothing, else a fresh
+    one.
     """
     if data.ndim < values.ndim:
         return np.multiply(data, values, out=out)
@@ -208,10 +213,11 @@ def contract(
         raise ValueError("packed contraction cannot write into its input")
     d = values.shape[0]
     out = np.multiply(data[:d], values, out=out)
-    tmp = np.empty_like(values[0])
+    if row is None:
+        row = np.empty_like(values[0])
     for comp, (a, b) in enumerate(sym_component_pairs(d)[d:], start=d):
-        out[a] += np.multiply(data[comp], values[b], out=tmp)
-        out[b] += np.multiply(data[comp], values[a], out=tmp)
+        out[a] += np.multiply(data[comp], values[b], out=row)
+        out[b] += np.multiply(data[comp], values[a], out=row)
     return out
 
 

@@ -7,10 +7,11 @@ from fftcell.green import (
     GreenOperator,
     ReferenceTensor,
     apply_G0,
+    narrow_view,
     project_J,
     project_mean,
 )
-from fftcell.grid import GridSpec
+from fftcell.grid import GridSpec, frequency_grid
 from fftcell.transforms import GridField, dft_forward, dft_inverse, l2_inner, truncate
 
 from conftest import (
@@ -337,10 +338,94 @@ class TestGreenOperator:
         assert np.count_nonzero(green.analyze(constant)) == 0
 
 
+class TestDirection:
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec((1.3,), (9,)), GridSpec((1.0, 1.0), (243, 243)), GridSpec((0.7, 2.1), (9, 15)),
+         GridSpec((1.0, 1.0, 1.0), (49, 49, 49)), GridSpec((1.0, 0.6, 1.7), (5, 7, 3))],
+        ids=str,
+    )
+    def test_n_equals_the_full_lattice_construction_bit_for_bit(self, spec):
+        # The construction that slices the full-lattice frequency grid.
+        xi = frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1]
+        norm2 = np.einsum("a...,a...->...", xi, xi)
+        norm2.flat[0] = np.inf
+        assert np.array_equal(GreenOperator(spec).n, xi / np.sqrt(norm2))
+
+
+class TestNarrowView:
+    def test_reinterprets_the_leading_bytes(self):
+        wide = np.zeros((2, 5, 3), dtype=complex)
+        narrow = narrow_view(wide, np.complex64)
+        assert narrow.shape == wide.shape and narrow.dtype == np.complex64
+        assert np.shares_memory(narrow, wide)
+        narrow[...] = 1.0
+        assert np.count_nonzero(wide.reshape(-1)[: wide.size // 2])
+        assert not np.count_nonzero(wide.reshape(-1)[wide.size // 2 :])
+        assert narrow_view(np.empty((2, 3)), np.float32).base is not None
+
+    def test_refuses_a_strided_array(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            narrow_view(np.empty((4, 6))[:, ::2], np.float32)
+
+
+class TestSingleTwin:
+    """``GreenOperator.single`` against the float64 operator of ``A0 = I``."""
+
+    SPECS = [GridSpec((1.0, 1.5), (9, 7)), GridSpec((1.0, 0.6, 1.7), (5, 7, 3)), GridSpec((1.0, 1.0), (81, 81))]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_its_composition_is_the_projector_to_float32_accuracy(self, spec, rng):
+        green = GreenOperator(spec, ReferenceTensor.scalar(3.5, spec.dim))
+        twin = green.single()
+        u = random_field(spec, rng).values
+        plain = GreenOperator(spec).gamma0(u)
+        single = twin.synthesize(twin.analyze(u.astype(np.float32)))
+        assert single.dtype == np.float32
+        scale = np.max(np.abs(plain))
+        assert np.max(np.abs(single - plain)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_analysis_accumulates_in_complex128(self, spec, rng):
+        twin = GreenOperator(spec).single()
+        s = twin.analyze(random_field(spec, rng).values.astype(np.float32))
+        assert s.dtype == complex and s.shape == twin.n.shape[1:]
+        assert twin.n.dtype == np.float32
+
+    def test_it_shares_the_workspace(self):
+        green = GreenOperator(self.SPECS[1], ReferenceTensor.scalar(2.0, 3))
+        twin = green.single()
+        assert np.shares_memory(twin._spectrum, green._spectrum)
+        assert np.shares_memory(twin._dots, green._dots)
+        assert twin._spectrum.dtype == np.complex64
+        assert twin.gamma_scale == 1.0 and twin.ref.scalar_mode == 1.0
+        assert green._norm is None and green.gamma_scale == 0.5
+
+    def test_a_tensor_reference_has_no_twin(self, rng):
+        green = GreenOperator(self.SPECS[1], random_spd_reference(3, rng))
+        with pytest.raises(ValueError, match="scalar reference"):
+            green.single()
+
+
 class TestMemory:
     """What a tensor-reference operator keeps, in units of one ``(d, *N)``
     float64 field: ``n`` (1/2), the complex workspace (1), the complex dot
     scratch (1/d) and the per-mode scale (1/(2d)), 2.04 fields in 3-D."""
+
+    def test_construction_peaks_at_what_it_keeps_at_49_cubed(self):
+        # n, the workspace and the dot scratch: 1.87 fields.  The direction
+        # is built on the half lattice, without a full-lattice transient.
+        spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))
+        field = spec.dim * spec.total * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            green = GreenOperator(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * field
+        assert green.n.shape == (3, 49, 49, 25)
 
     def test_tensor_reference_operator_at_49_cubed(self):
         spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))

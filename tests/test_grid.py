@@ -7,6 +7,7 @@ from fftcell.grid import (
     GridSpec,
     coordinate_grid,
     frequency_grid,
+    half_frequency_grid,
     index_grid,
     next_fast_odd,
     underlined_frequency_grid,
@@ -98,6 +99,26 @@ class TestFrequencyGrid:
 
     def test_largest_index_of_a_finer_grid(self):
         assert frequency_grid(spec_for((15,)))[:, 7] == pytest.approx([7.0])
+
+    PER_AXIS_SPECS = [
+        GridSpec((1.3,), (9,)), GridSpec((0.7, 2.1), (9, 15)), GridSpec((1.0, 0.6, 1.7), (5, 7, 3))
+    ]
+
+    @pytest.mark.parametrize("spec", PER_AXIS_SPECS, ids=str)
+    def test_per_axis_grids_equal_the_index_grid_formulas_bit_for_bit(self, spec):
+        ks = index_grid(spec)
+        shape = (spec.dim,) + (1,) * spec.dim
+        assert ks.dtype == int and ks.shape == (spec.dim,) + spec.shape
+        h = np.array(spec.spacings).reshape(shape)
+        assert np.array_equal(coordinate_grid(spec), ks * h)
+        Y = np.array(spec.half_periods).reshape(shape)
+        assert np.array_equal(frequency_grid(spec), ks.astype(float) / Y)
+
+    @pytest.mark.parametrize("spec", PER_AXIS_SPECS, ids=str)
+    def test_half_lattice_is_the_slice_of_the_full_one_bit_for_bit(self, spec):
+        half = half_frequency_grid(spec)
+        assert half.shape == (spec.dim,) + spec.shape[:-1] + (spec.shape[-1] // 2 + 1,)
+        assert np.array_equal(half, frequency_grid(spec)[..., : spec.shape[-1] // 2 + 1])
 
 
 class TestLattice:

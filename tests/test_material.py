@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,23 @@ class TestContractInto:
         expected = contract(a.data, u)
         assert contract(a.data, u, out=u) is u
         assert np.array_equal(u, expected)
+
+    def test_a_given_row_is_the_only_scratch(self, rng):
+        # With the caller's row, a packed contraction allocates nothing.
+        spec = GridSpec((1.0, 1.0, 1.0), (31, 31, 31))
+        a = random_spd_field(spec, rng)
+        u = random_field(spec, rng).values
+        expected = contract(a.data, u)
+        out, row = np.empty_like(u), np.empty(spec.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            contract(a.data, u, out=out, row=row)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < row.nbytes / 10
+        assert np.array_equal(out, expected)
 
     def test_packed_data_refuses_to_write_into_its_input(self, rng):
         spec = GridSpec((1.0, 1.0), (9, 9))

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fftcell.solver
 from fftcell.analysis import dense_oracle
 from fftcell.families import checkerboard_2d, sine_1d
 from fftcell.green import GreenOperator, ReferenceTensor
@@ -511,9 +514,69 @@ class TestMemory:
         assert max(peaks) <= 5.0
         assert abs(peaks[1] - peaks[0]) <= 0.1
 
+    def test_one_float32_solve_stays_within_the_float64_bound(self):
+        # The float32 direction (1/4 field) and coefficients (1/(2d)) are
+        # the only additions: about 4.8 fields, as the passes run in the
+        # workspace and the real buffer reinterpreted.
+        spec = self.SPEC
+        a = self.two_phase_field()
+        field_bytes = spec.dim * spec.total * 8
+        peaks = []
+        for max_iter in (5, 50):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cfg = SolverConfig(tol=1e-6, max_iter=max_iter)
+                report = solve(a, LoadCase((1.0, 0.0, 0.0)), cfg)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before) / field_bytes)
+            finally:
+                tracemalloc.stop()
+            assert report.iterations == max_iter
+            assert report.float64_applications < max_iter  # float32 ran
+            del report
+        assert max(peaks) <= 5.0
+        assert abs(peaks[1] - peaks[0]) <= 0.1
+
+    def test_a_packed_solve_owns_its_contraction_row(self, monkeypatch, rng):
+        spec = GridSpec((1.0, 1.0, 1.0), (31, 31, 31))
+        a = random_spd_field(spec, rng)
+        load = LoadCase((1.0, 0.0, 0.0))
+        row_bytes = spec.total * 8
+        peaks = []
+        for max_iter in (3, 30):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                report = solve(a, load, SolverConfig(tol=1e-14, max_iter=max_iter))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert report.iterations == max_iter
+            del report
+        assert abs(peaks[1] - peaks[0]) < row_bytes / 10
+        # No contraction of the solve allocates a row of its own.
+        inner, calls = fftcell.solver.contract, []
+
+        def traced(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = inner(*args, **kwargs)
+            calls.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(fftcell.solver, "contract", traced)
+        tracemalloc.start()
+        try:
+            solve(a, load, SolverConfig(tol=1e-14, max_iter=5))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 7  # r_0, five steps and the exit residual
+        assert max(calls) < row_bytes / 10
+
     def test_effective_tensor_streams_its_assembly(self):
         # At the assembly: the d solutions, the operator and two scratch
-        # fields, about 6.9 fields.
+        # fields, about 6.9 fields.  The third solve runs float32 products
+        # and holds about 6.7.
         spec = self.SPEC
         a = self.two_phase_field()
         tracemalloc.start()
@@ -525,3 +588,199 @@ class TestMemory:
             tracemalloc.stop()
         assert all(r.converged for r in eff.per_case_reports)
         assert peak / (spec.dim * spec.total * 8) <= 7.5
+
+
+def relative_true_residual(a, load, report):
+    """``|G A (e~ + E)| / |G A E|`` of the returned solution, computed
+    apart from the solver."""
+    r0 = residual_norm(a, load, GridField.zeros(a.spec))
+    return residual_norm(a, load, report.solution) / r0
+
+
+random_shapes = st.sampled_from([(9, 9), (15, 11), (25, 25), (5, 5, 5), (7, 9, 5)])
+
+
+class TestCertifiedExit:
+    """``converged=True`` rests on a float64 residual that meets the stop
+    rule, not on the recursively updated one."""
+
+    def test_a_tol_below_the_attainable_accuracy_is_not_convergence(self):
+        # The recursive relative residual reaches 4.3e-17 after 39 steps;
+        # the true one stays near 5e-16, the attainable accuracy.
+        a, load = sine_problem(n=99)
+        cfg = SolverConfig(tol=1e-16)
+        report = solve_cg(a, load, cfg)
+        true = relative_true_residual(a, load, report)
+        assert not (report.converged and true > cfg.tol)
+        assert not report.converged
+        assert "attainable accuracy" in report.message
+        assert report.true_residual > cfg.tol
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10], ids=str)
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_the_exit_residual_is_the_true_one(self, method, tol):
+        a, load = sine_problem(n=99)
+        report = solve(a, load, SolverConfig(method=method, tol=tol, max_iter=5000))
+        assert report.converged
+        true = relative_true_residual(a, load, report)
+        assert report.true_residual == pytest.approx(true, rel=1e-6)
+        if method == "cg":
+            assert report.true_residual <= tol
+            # The exit check replaces the recursive residual in the history.
+            assert report.residual_history[-1] == pytest.approx(
+                true * report.residual_history[0], rel=1e-6
+            )
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_a_failed_solve_reports_its_true_residual(self, method):
+        a, load = sine_problem(n=99)
+        report = solve(a, load, SolverConfig(method=method, tol=1e-12, max_iter=3))
+        assert report.message == "max_iter exceeded"
+        assert report.true_residual == pytest.approx(
+            relative_true_residual(a, load, report), rel=1e-9
+        )
+
+    def test_a_load_balanced_to_rounding_is_solved_by_zero(self):
+        # A laminate loaded along its layers: G A E is rounding noise, which
+        # no iterate can reduce by tol.
+        a = laminate_27(1.0)
+        report = solve_cg(a, LoadCase((0.0, 1.0)), SolverConfig(tol=1e-10))
+        assert report.converged
+        assert report.iterations == 0
+        assert np.all(report.solution.values == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=random_shapes,
+        seed=st.integers(0, 2**32 - 1),
+        contrast=st.floats(1.5, 100.0),
+        tol=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10]),
+        method=st.sampled_from(["cg", "neumann"]),
+    )
+    def test_convergence_implies_the_stop_rule_on_random_fields(
+        self, shape, seed, contrast, tol, method
+    ):
+        rng = np.random.default_rng(seed)
+        spec = GridSpec((1.0,) * len(shape), shape)
+        a = CoefficientField.isotropic(spec, 1.0 + (contrast - 1.0) * rng.random(shape))
+        load = LoadCase(tuple(rng.standard_normal(spec.dim)))
+        report = solve(a, load, SolverConfig(method=method, tol=tol, max_iter=20000))
+        assert report.converged
+        true = residual_norm(a, load, report.solution)
+        if method == "cg":
+            assert true <= tol * residual_norm(a, load, GridField.zeros(spec))
+        else:
+            # The update norm |G A (e~ + E)| / lambda of the default reference.
+            lam = default_reference(a).scalar_mode
+            assert true <= lam * tol * np.linalg.norm(load.E)
+
+
+def checkerboard_81():
+    return checkerboard_2d(1.0, 100.0).sample(GridSpec((1.0, 1.0), (81, 81)))
+
+
+def two_phase_31():
+    spec = GridSpec((1.0, 1.0, 1.0), (31, 31, 31))
+    rng = np.random.default_rng(3)
+    return CoefficientField.isotropic(spec, np.where(rng.random(spec.shape) < 0.5, 100.0, 1.0))
+
+
+class TestFloat32Products:
+    """CG on scalar coefficients with tol >= 1e-7 applies ``Gamma0 A p`` in
+    float32, with float64 reliable updates and exit check."""
+
+    # Iteration counts of the float64 products at tol 1e-6, per load case.
+    FLOAT64_COUNTS = {"checkerboard-81": [56, 56], "two-phase-31": [52, 50, 51]}
+
+    @pytest.mark.parametrize("case", sorted(FLOAT64_COUNTS))
+    def test_counts_and_A_eff_match_the_float64_solve(self, case):
+        a = checkerboard_81() if case == "checkerboard-81" else two_phase_31()
+        tol = 1e-6
+        eff = effective_tensor(a, SolverConfig(tol=tol))
+        reports = eff.per_case_reports
+        assert [r.iterations for r in reports] == self.FLOAT64_COUNTS[case]
+        loads = [LoadCase(tuple(e)) for e in np.eye(a.spec.dim)]
+        R = []
+        for load, report in zip(loads, reports):
+            assert report.float64_applications < report.iterations  # float32 ran
+            assert report.true_residual <= tol
+            assert relative_true_residual(a, load, report) <= tol
+            R.append(residual_norm(a, load, report.solution))
+        bound = np.outer(R, R) / a.c_A
+        if case == "checkerboard-81":
+            exact = np.sqrt(100.0) * np.eye(2)
+        else:
+            fine = effective_tensor(a, SolverConfig(tol=1e-12))
+            R_fine = [residual_norm(a, l, r.solution) for l, r in zip(loads, fine.per_case_reports)]
+            exact = fine.matrix
+            bound = bound + np.outer(R_fine, R_fine) / a.c_A
+        assert np.all(np.abs(eff.matrix - exact) <= bound)
+
+    def test_power_of_two_scalings_give_bit_identical_results(self):
+        a = checkerboard_2d(1.0, 100.0).sample(GridSpec((1.0, 1.0), (27, 27)))
+        cfg = SolverConfig(tol=1e-6)
+        base = solve_cg(a, LoadCase((0.6, -0.8)), cfg)
+        base_eff = effective_tensor(a, cfg).matrix
+        for k, m in [(3, 0), (-7, 5), (60, -40)]:
+            scaled = CoefficientField(a.spec, 2.0**k * a.data)
+            other = solve_cg(scaled, LoadCase((0.6 * 2.0**m, -0.8 * 2.0**m)), cfg)
+            assert other.iterations == base.iterations
+            assert np.array_equal(other.solution.values, 2.0**m * base.solution.values)
+            assert np.array_equal(effective_tensor(scaled, cfg).matrix, 2.0**k * base_eff)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e300], ids=str)
+    def test_extreme_scalings_keep_counts_and_A_eff(self, s):
+        a = checkerboard_81()
+        tol = 1e-6
+        base = effective_tensor(a, SolverConfig(tol=tol))
+        other = effective_tensor(CoefficientField(a.spec, s * a.data), SolverConfig(tol=tol))
+        counts = [r.iterations for r in base.per_case_reports]
+        assert [r.iterations for r in other.per_case_reports] == counts
+        assert all(r.float64_applications < r.iterations for r in other.per_case_reports)
+        assert np.max(np.abs(other.matrix / s - base.matrix)) <= 10 * tol * np.max(base.matrix)
+
+    @pytest.mark.parametrize(
+        "case, single",
+        [
+            ("cg", True), ("tol 1e-7", True), ("contrast 2^126", True),
+            ("neumann", False), ("packed", False), ("tol 9.9e-8", False),
+            ("contrast 2^127", False),
+        ],
+    )
+    def test_float32_products_run_only_inside_their_rule(self, case, single, rng):
+        # In float64 every step is a float64 application, and so is the
+        # check of the reported residual: max_iter + 1 in all.
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        scalars = 1.0 + 9.0 * rng.random(spec.shape)
+        cfg = {"method": "cg", "tol": 1e-6, "max_iter": 3}
+        if case == "neumann":
+            cfg["method"] = "neumann"
+        elif case.startswith("tol"):
+            cfg["tol"] = float(case.split()[1])
+        elif case.startswith("contrast"):
+            scalars = np.where(rng.random(spec.shape) < 0.5, 2.0 ** int(case[-3:]), 1.0)
+        a = random_spd_field(spec, rng) if case == "packed" else CoefficientField.isotropic(spec, scalars)
+        report = solve(a, LoadCase((1.0, 0.0)), SolverConfig(**cfg))
+        assert report.iterations == 3
+        assert (report.float64_applications < 4) == single
+        if not single:
+            assert report.float64_applications == 4
+
+    def test_a_stalled_float32_recursion_carries_on_in_float64(self, monkeypatch, rng):
+        # A twin whose direction is off by half gives float32 products that
+        # do not lower the true residual: the solve switches to float64.
+        single = GreenOperator.single
+
+        def corrupted(self):
+            twin = single(self)
+            twin.n = twin.n * np.float32(0.5)
+            return twin
+
+        monkeypatch.setattr(GreenOperator, "single", corrupted)
+        spec = GridSpec((1.0, 1.0), (31, 31))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        load = LoadCase((1.0, 0.0))
+        report = solve_cg(a, load, SolverConfig(tol=1e-6))
+        assert report.converged
+        assert relative_true_residual(a, load, report) <= 1e-6
+        assert report.float64_applications > 3
