@@ -17,11 +17,10 @@ transformed and multiplied.  Every ``N_a`` is odd, so each mode has its
 partner ``-k`` on the lattice: ``n(-k) = -n(k)`` keeps the product
 Hermitian and ``irfftn`` reconstructs the real field exactly.
 
-:meth:`GreenOperator.single` gives the float32 twin of the projector
-that CG runs its operator products on.  Its passes use
-``norm="ortho"``: numpy scales a ``"backward"`` forward pass by the
-Python int 1, which sends a float32 array through the float64 loop and
-makes it slower than a float64 pass.
+Every FFT pass uses ``norm="ortho"``: numpy scales a ``"backward"``
+forward pass by the Python int 1, which sends a float32 array through the
+float64 loop, and one scale serves the operator and its float32 twin
+(:meth:`GreenOperator.single`) alike.
 """
 
 from __future__ import annotations
@@ -94,10 +93,11 @@ class GreenOperator:
     * :meth:`synthesize` forms ``n s`` in the workspace and runs the passes
       of ``irfftn`` into a real ``(d, *N)`` field.
 
-    Their composition equals ``irfftn(n (gamma_scale (n . rfftn(v))))`` bit
-    for bit without allocating.  :meth:`inner` is the mean inner product of
-    two synthesized fields, computed on the scalars.  A tensor reference
-    adds only the real per-mode ``gamma_scale`` to what a scalar one keeps.
+    Their composition equals ``irfftn(n (gamma_scale (n . rfftn(v))))``,
+    both ``norm="ortho"``, bit for bit without allocating.  :meth:`inner`
+    is the mean inner product of two synthesized fields, computed on the
+    scalars.  A tensor reference adds only the real per-mode
+    ``gamma_scale`` to what a scalar one keeps.
     The workspace makes an operator unsafe to share between threads.
     ``ref=None`` means ``A0 = I``.
     """
@@ -123,8 +123,6 @@ class GreenOperator:
         self._spectrum = np.empty(self.n.shape, dtype=complex)
         self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
-    _norm = None  # numpy's default "backward" scaling of the passes
-
     def single(self) -> GreenOperator:
         """The float32 twin of the operator of ``A0 = I``, the orthogonal
         projector G; Gamma0 of a scalar reference ``lambda I`` is
@@ -136,12 +134,7 @@ class GreenOperator:
         quarter of a ``(d, *N)`` float64 field.  Given float32 fields and
         complex128 scalars, :meth:`synthesize` and :meth:`analyze` run the
         FFT passes in single precision and accumulate ``n . v_hat`` into
-        complex128.  Every pass is ``norm="ortho"``: numpy scales a
-        ``"backward"`` forward pass by the Python int 1, which sends a
-        float32 array through its float64 loop (1.9 ms against 0.36 ms for
-        a 243 x 243 float32 ``rfft``, 0.7-1.0 ms in float64).  The twin's
-        synthesis is thus ``sqrt|N|`` times, and its analysis ``1/sqrt|N|``
-        times, this operator's; their composition has the same scale.
+        complex128.
         """
         if not self.ref.scalar_mode:
             raise ValueError("a float32 twin needs a scalar reference")
@@ -151,7 +144,6 @@ class GreenOperator:
         twin.n = self.n.astype(np.float32)
         twin._spectrum = narrow_view(self._spectrum, np.complex64)
         twin._dots = narrow_view(self._dots, np.complex64)
-        twin._norm = "ortho"
         return twin
 
     def analyze(self, values, out=None):
@@ -159,9 +151,9 @@ class GreenOperator:
         ``Gamma0 values``, into ``out`` (a fresh array when None)."""
         spectrum = self._spectrum
         d = self.spec.dim
-        np.fft.rfft(values, axis=d, out=spectrum, norm=self._norm)
+        np.fft.rfft(values, axis=d, out=spectrum, norm="ortho")
         for axis in range(d - 1, 0, -1):
-            np.fft.fft(spectrum, axis=axis, out=spectrum, norm=self._norm)
+            np.fft.fft(spectrum, axis=axis, out=spectrum, norm="ortho")
         dots = np.einsum("a...,a...->...", self.n, spectrum, out=self._dots)
         if out is None:
             out = np.empty(dots.shape, dtype=complex)
@@ -173,23 +165,24 @@ class GreenOperator:
         spectrum = self._spectrum
         np.multiply(self.n, s, out=spectrum)
         for axis in range(1, self.spec.dim):
-            np.fft.ifft(spectrum, axis=axis, out=spectrum, norm=self._norm)
+            np.fft.ifft(spectrum, axis=axis, out=spectrum, norm="ortho")
         return np.fft.irfft(
-            spectrum, n=self.spec.shape[-1], axis=self.spec.dim, out=out, norm=self._norm
+            spectrum, n=self.spec.shape[-1], axis=self.spec.dim, out=out, norm="ortho"
         )
 
     def inner(self, s, t) -> float:
         """Mean inner product ``(1/|N|) sum_x u(x) . v(x)`` of the fields
         ``u``, ``v`` that :meth:`synthesize` makes of ``s``, ``t``.
 
-        By Plancherel it is ``(1/|N|^2) sum_k conj(s(k)) t(k)`` over the
-        whole lattice, as ``|n(k)| = 1`` off the mean mode, where every
-        analyzed scalar vanishes.  The modes ``k_d < 0`` are the conjugates
+        The passes are unitary, so by Plancherel it is
+        ``(1/|N|) sum_k conj(s(k)) t(k)`` over the whole lattice, as
+        ``|n(k)| = 1`` off the mean mode, where every analyzed scalar
+        vanishes.  The modes ``k_d < 0`` are the conjugates
         of the ``k_d > 0`` ones, so the half-lattice sum is counted twice
         and its ``k_d = 0`` plane, which holds its own conjugates, once.
         """
         total = 2.0 * np.vdot(s, t).real - np.vdot(s[..., 0], t[..., 0]).real
-        return float(total / self.spec.total**2)
+        return float(total / self.spec.total)
 
     def gamma0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``Gamma0 v = n gamma_scale (n . v_hat)`` on a ``(d, *N)`` array;

@@ -23,15 +23,16 @@ Every vector of the recurrence lies in the range of Gamma0, the fields
 so the loop runs on those scalars and synthesizes real fields only to
 apply A and to report.
 
-CG on scalar coefficients with ``tol >= 1e-7`` applies the operator in
-float32 and keeps the float64 iteration counts by reliable updates: the
-float64 residual replaces the recursive one after every fall by 1e-3
-and at every would-be exit.  Every other solve applies it in float64 and
-runs the plain recurrence.  Either way ``converged=True`` rests on a
-float64 residual that meets the stop rule (see :func:`solve`).  Float32
-results differ from float64 ones by rounding only: about 3e-9 of the
-largest solution entry and 1e-15 of ``A_eff`` at ``tol=1e-6`` on the
-benchmark fields.
+Both methods stop at ``|r| <= tol |r_0|``.  Scalar coefficients ``a``
+around a scalar reference ``lambda I`` with ``tol >= 1e-7`` and
+``a / lambda`` in float32's normal range get float32 operator products
+and keep the float64 iteration counts by reliable updates: the float64
+residual replaces the recursive one after every fall by 1e-3 and at
+every would-be exit.  Every other solve runs in float64.  Either way
+``converged=True`` rests on a float64 residual that meets the stop rule
+(see :func:`solve`).  Float32 results differ from float64 ones by
+rounding only: about 3e-9 of the largest solution entry and 1e-15 of
+``A_eff`` at ``tol=1e-6`` on the CG benchmark fields.
 
 For both methods ``iterations`` counts the applied updates and
 ``residual_history`` starts with the initial residual.  All norms are the
@@ -167,10 +168,9 @@ def solve(
     ``|Gamma0 A (e~ + E)|`` for Neumann.  A converged solve whose solution
     or history overflows float64 in those units is reported as failed.
 
-    Every solve starts from ``x = 0``.  CG stops at ``|r| <= tol |r_0|``;
-    a scalar reference in ``cfg`` induces the same orthogonal G and does
-    not enter.  Neumann stops at an update norm ``<= tol |E|``.  A load
-    whose ``|r_0|`` is within ``_FLOOR`` eps of ``max |A E| / c(A0)``, the
+    Every solve starts from ``x = 0`` and stops at ``|r| <= tol |r_0|``;
+    for CG a scalar reference in ``cfg`` does not enter.  A load whose
+    ``|r_0|`` is within ``_FLOOR`` eps of ``max |A E| / c(A0)``, the
     rounding of its own evaluation, is solved by ``x = 0`` in 0 iterations:
     a zero load, a uniform medium, a laminate loaded along its layers.  A
     solve fails at a non-finite residual, at ``max_iter``, for CG when
@@ -184,22 +184,24 @@ def solve(
     So whenever ``r`` meets the stop rule, the true residual is recomputed
     in float64 and replaces ``r`` and its history entry, ``p`` being kept;
     the solve converges only if it meets the rule too.  One that does not,
-    and has not halved the smallest float64 residual so far, marks the
-    attainable accuracy: the solve stops unconverged.
+    and either has not halved the smallest float64 residual so far or lies
+    at the rounding floor above, marks the attainable accuracy: the solve
+    stops unconverged.
     :attr:`SolveReport.true_residual` is the float64 ``|r| / |r_0|`` of the
     returned solution.
 
-    CG on scalar coefficients with ``tol >= _SINGLE_TOL`` (about twice
-    float32's unit roundoff) and a float32-normal ``c_A / C_A`` applies
-    ``Gamma0 A p`` in float32: ``a / C_A`` and ``n`` in float32, through
-    :meth:`~fftcell.green.GreenOperator.single` and the real buffer
+    Scalar coefficients around ``lambda I`` (``C_A I`` for CG) with
+    ``tol >= _SINGLE_TOL`` (about twice float32's unit roundoff), a
+    float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
+    get ``Gamma0 A p`` in float32: ``a / lambda`` and ``n`` in float32,
+    through :meth:`~fftcell.green.GreenOperator.single` and the real buffer
     reinterpreted.  ``x``, ``r``, ``p``, ``Ap`` and every inner product
     stay complex128.  Reliable updates keep the float64 iteration counts:
     whenever ``|r|`` has fallen ``_RELIABLE`` below the smallest float64
     residual, the float64 residual replaces it (Clark et al., CPC 181,
     2010; van der Vorst & Ye, SISC 22, 2000).  One that has not halved
     that smallest residual switches the rest of the solve to float64
-    products and restarts CG along ``r``.  Every other solve runs in
+    products, CG restarting along ``r``.  Every other solve runs in
     float64 throughout, with the iterates of the plain recurrence.
     ``float64_applications`` counts the float64 operator applications
     after ``r_0``: each step of a float64 solve and each recomputed
@@ -234,24 +236,22 @@ def solve(
     row = np.empty(spec.shape) if packed else None
     x = np.zeros(green.n.shape[1:], dtype=complex)
 
-    def residual(out):
-        """The float64 residual ``-Gamma0 A (E / |E|_max + x)`` into ``out``."""
-        green.synthesize(x, field)
-        np.add(field, mean, out=field)
+    def residual(out, start=False):
+        """The float64 residual ``-Gamma0 A (E / |E|_max + x)`` into ``out``;
+        at the ``start`` ``x = 0`` needs no synthesis."""
+        np.add(0.0 if start else green.synthesize(x, field), mean, out=field)
         green.analyze(contract(a.data, field, out=flux, row=row), out)
         return np.negative(out, out=out)
 
     double = (green, a.data, field, flux)
     products = double
-    single = (
-        cg
-        and not packed
-        and cfg.tol >= _SINGLE_TOL
-        and np.float32(a.c_A / a.C_A) >= np.finfo(np.float32).tiny
-    )
-    if single:
+    lam = ref.scalar_mode  # Gamma0 of lambda I is G / lambda
+    f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
+    if lam and not packed and cfg.tol >= _SINGLE_TOL and (
+        float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
+    ):
         coeffs = np.empty(spec.shape, dtype=np.float32)
-        np.divide(a.data, a.C_A, out=coeffs)  # Gamma0 of C_A I is G / C_A
+        np.divide(a.data, lam, out=coeffs)
         values = narrow_view(field, np.float32)
         products = (green.single(), coeffs, values, values)
 
@@ -261,7 +261,7 @@ def solve(
         op.synthesize(p, values)
         return op.analyze(contract(coeffs, values, out=fluxes, row=row), out)
 
-    r = residual(np.empty_like(x))  # the residual of x = 0
+    r = residual(np.empty_like(x), start=True)
     # The rounding floor of that residual, from the flux A E / |E|_max it
     # leaves in ``flux``: a load that the coefficients balance to rounding
     # (a uniform medium, a laminate loaded along its layers) has nothing
@@ -272,10 +272,7 @@ def solve(
     rr = rr0 = rr_true = green.inner(r, r)
     certified = True  # r is the float64 residual of x
     applications = 0
-    if cg:
-        stop = cfg.tol * np.sqrt(rr)
-    else:
-        stop = cfg.tol * float(np.linalg.norm(np.divide(load.E, E_max)))
+    stop = cfg.tol * np.sqrt(rr)
     history = [units * np.sqrt(rr)]
 
     def synthesized(out=None):
@@ -322,8 +319,8 @@ def solve(
         if stalled:
             return report(
                 i, False,
-                f"attainable accuracy: the true residual {history[-1]:.3e} stopped"
-                f" falling above the stop threshold {units * stop:.3e}",
+                f"attainable accuracy: the true residual {history[-1]:.3e} stays"
+                f" above the stop threshold {units * stop:.3e}",
             )
         if growth_streak >= _DIVERGENCE_WINDOW:
             matrix = ref.matrix.tolist()
@@ -354,15 +351,17 @@ def solve(
             rr_new = green.inner(residual(r), r)
             certified = True
             applications += 1
-            # Stalled: above the stop and not below half the best so far.
-            stalled = np.sqrt(rr_new) > stop and rr_new > rr_true / 4
+            # Stalled: above the stop, at the floor or not below half the best.
+            floored = np.sqrt(rr_new) <= floor
+            stalled = np.sqrt(rr_new) > stop and (floored or rr_new > rr_true / 4)
             rr_true = min(rr_true, rr_new)
-            if stalled and products is not double:
+            if stalled and not floored and products is not double:
                 # The rest of the solve runs in float64, and CG restarts
                 # along r: the float32 directions are not to be trusted.
                 products = double
                 stalled = False
-                p.fill(0.0)
+                if cg:  # the Neumann step p is r itself
+                    p.fill(0.0)
         history.append(units * np.sqrt(rr_new))
         if record_iterates:
             iterates.append(GridField(spec, synthesized()))

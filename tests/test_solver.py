@@ -459,7 +459,7 @@ class TestOneLoop:
         a, load = sine_problem(n=99)
         cfg = SolverConfig(method="neumann", tol=1e-8, max_iter=2000)
         report = solve_neumann(a, load, cfg)
-        stop = cfg.tol * np.linalg.norm(load.E)
+        stop = cfg.tol * report.residual_history[0]
         assert report.converged
         assert len(report.residual_history) == report.iterations + 1
         assert report.residual_history[-1] <= stop < report.residual_history[-2]
@@ -606,7 +606,8 @@ class TestCertifiedExit:
 
     def test_a_tol_below_the_attainable_accuracy_is_not_convergence(self):
         # The recursive relative residual reaches 4.3e-17 after 39 steps;
-        # the true one stays near 5e-16, the attainable accuracy.
+        # the true one stays near 5e-16, the attainable accuracy, which is
+        # below the rounding floor (1.3e-14 of |r_0|): the solve stops there.
         a, load = sine_problem(n=99)
         cfg = SolverConfig(tol=1e-16)
         report = solve_cg(a, load, cfg)
@@ -615,6 +616,7 @@ class TestCertifiedExit:
         assert not report.converged
         assert "attainable accuracy" in report.message
         assert report.true_residual > cfg.tol
+        assert report.iterations <= 45
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-10], ids=str)
     @pytest.mark.parametrize("method", ["cg", "neumann"])
@@ -667,10 +669,10 @@ class TestCertifiedExit:
         report = solve(a, load, SolverConfig(method=method, tol=tol, max_iter=20000))
         assert report.converged
         true = residual_norm(a, load, report.solution)
-        if method == "cg":
-            assert true <= tol * residual_norm(a, load, GridField.zeros(spec))
-        else:
-            # The update norm |G A (e~ + E)| / lambda of the default reference.
+        assert true <= tol * residual_norm(a, load, GridField.zeros(spec))
+        if method == "neumann":
+            # The update norm |G A (e~ + E)| / lambda of the default
+            # reference, which the rule implies: |G A E| < lambda |E|.
             lam = default_reference(a).scalar_mode
             assert true <= lam * tol * np.linalg.norm(load.E)
 
@@ -686,8 +688,10 @@ def two_phase_31():
 
 
 class TestFloat32Products:
-    """CG on scalar coefficients with tol >= 1e-7 applies ``Gamma0 A p`` in
-    float32, with float64 reliable updates and exit check."""
+    """A solve on scalar coefficients around a scalar reference ``lambda I``
+    with tol >= 1e-7 and ``a / lambda`` within float32's normal range
+    applies ``Gamma0 A p`` in float32, with float64 reliable updates and
+    exit check."""
 
     # Iteration counts of the float64 products at tol 1e-6, per load case.
     FLOAT64_COUNTS = {"checkerboard-81": [56, 56], "two-phase-31": [52, 50, 51]}
@@ -743,8 +747,9 @@ class TestFloat32Products:
         "case, single",
         [
             ("cg", True), ("tol 1e-7", True), ("contrast 2^126", True),
-            ("neumann", False), ("packed", False), ("tol 9.9e-8", False),
-            ("contrast 2^127", False),
+            ("neumann", True), ("packed", False), ("tol 9.9e-8", False),
+            ("contrast 2^127", False), ("neumann tensor", False),
+            ("neumann lambda 1e100", False),
         ],
     )
     def test_float32_products_run_only_inside_their_rule(self, case, single, rng):
@@ -753,8 +758,12 @@ class TestFloat32Products:
         spec = GridSpec((1.0, 1.0), (9, 9))
         scalars = 1.0 + 9.0 * rng.random(spec.shape)
         cfg = {"method": "cg", "tol": 1e-6, "max_iter": 3}
-        if case == "neumann":
+        if case.startswith("neumann"):
             cfg["method"] = "neumann"
+            if case.endswith("tensor"):
+                cfg["reference"] = ReferenceTensor(np.diag([6.0, 5.5]))
+            elif case.endswith("1e100"):  # c_A / lambda underflows float32
+                cfg["reference"] = ReferenceTensor.scalar(1e100, 2)
         elif case.startswith("tol"):
             cfg["tol"] = float(case.split()[1])
         elif case.startswith("contrast"):
@@ -766,9 +775,24 @@ class TestFloat32Products:
         if not single:
             assert report.float64_applications == 4
 
-    def test_a_stalled_float32_recursion_carries_on_in_float64(self, monkeypatch, rng):
+    def test_a_over_lambda_beyond_float32_runs_in_float64(self, rng):
+        # Around lambda = 1e-100, C_A / lambda overflows float32.  Gamma0 A
+        # scales by 1e100, so the residual leaves float64 after one step,
+        # which is then the one float64 application.
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        ref = ReferenceTensor.scalar(1e-100, 2)
+        cfg = SolverConfig(method="neumann", tol=1e-6, max_iter=3, reference=ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve(a, LoadCase((1.0, 0.0)), cfg)
+        assert "non-finite residual" in report.message
+        assert report.iterations == report.float64_applications == 1
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_a_stalled_float32_recursion_carries_on_in_float64(self, method, monkeypatch, rng):
         # A twin whose direction is off by half gives float32 products that
         # do not lower the true residual: the solve switches to float64.
+        # CG restarts along r; the Neumann step is r itself and is kept.
         single = GreenOperator.single
 
         def corrupted(self):
@@ -780,7 +804,7 @@ class TestFloat32Products:
         spec = GridSpec((1.0, 1.0), (31, 31))
         a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
         load = LoadCase((1.0, 0.0))
-        report = solve_cg(a, load, SolverConfig(tol=1e-6))
+        report = solve(a, load, SolverConfig(method=method, tol=1e-6))
         assert report.converged
         assert relative_true_residual(a, load, report) <= 1e-6
         assert report.float64_applications > 3

@@ -33,5 +33,5 @@ def test_the_per_point_lattice_map_is_gone(module):
 
 def test_the_green_operator_has_one_kernel():
     green = GreenOperator(fftcell.GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor(np.diag([2.0, 1.0])))
-    assert [name for name in ("G0", "A0n", "_weight") if hasattr(green, name)] == []
+    assert [name for name in ("G0", "A0n", "_weight", "_norm") if hasattr(green, name)] == []
     assert "right" not in inspect.signature(GreenOperator.analyze).parameters
