@@ -2,9 +2,10 @@
 and run convergence/contrast/approximation studies.
 
 A run is described by an optional key=value config file plus flags; flags
-win.  Exit codes: 0 success, 1 non-convergence, 2 config or format
-violation, 3 data validation failure.  Output files are written atomically
-(temp file + rename) so interrupted runs never leave half-written files.
+win, and each subcommand accepts only the flags it reads.  Exit codes: 0
+success, 1 non-convergence, 2 config or format violation, 3 data validation
+failure.  Output files are written atomically (temp file + rename) so
+interrupted runs never leave half-written files.
 """
 
 from __future__ import annotations
@@ -23,19 +24,17 @@ from .analysis import (
 )
 from .families import checkerboard_2d, parse_family, sine_1d
 from .green import ReferenceTensor
-from .grid import GridSpec
 from .homogenize import (
     ConvergenceError,
     effective_tensor,
-    flux_field,
     mean_flux,
     unit_loads,
     write_history_csv,
     write_tensor_csv,
 )
-from .material import MaterialDataError, VoxelFormatError, _atomic_write, load_voxel, save_field
+from .material import MaterialDataError, VoxelFormatError, _atomic_write, apply_A, load_voxel, save_field
 from .solver import LoadCase, SolverConfig, solve
-from .transforms import l2_inner
+from .transforms import GridField, l2_inner
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -60,7 +59,10 @@ def _read_config(path):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -103,12 +105,7 @@ def _solver_config(args, dim):
     reference = None
     if args.ref_lambda is not None:
         reference = ReferenceTensor.scalar(float(args.ref_lambda), dim)
-    try:
-        return SolverConfig(
-            method=args.solver, tol=tol, max_iter=max_iter, reference=reference
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return SolverConfig(method=args.solver, tol=tol, max_iter=max_iter, reference=reference)
 
 
 def cmd_validate(args):
@@ -145,15 +142,13 @@ def cmd_solve(args):
     ]
     if report.converged:
         save_field(out / "solution.json", report.solution)
-        j = flux_field(a, report, load)
+        total = GridField(a.spec, report.solution.values + load.expand(a.spec).values)
+        j = apply_A(a, total)
         save_field(out / "flux.json", j)
-        mj = mean_flux(j)
-        lines.append("mean_flux " + ",".join(f"{v:.17g}" for v in mj))
+        lines.append("mean_flux " + ",".join(f"{v:.17g}" for v in mean_flux(j)))
         E2 = float(np.dot(load.E, load.E))
         if E2 > 0:
-            total = report.solution.values + load.expand(a.spec).values
-            energy = l2_inner(j, type(j)(a.spec, total))
-            lines.append(f"effective_value {energy / E2:.17g}")
+            lines.append(f"effective_value {l2_inner(j, total) / E2:.17g}")
     else:
         lines.append(f"message {report.message}")
     _atomic_write(out / "summary.txt", lambda p: Path(p).write_text("\n".join(lines) + "\n"))
@@ -188,6 +183,12 @@ def cmd_homogenize(args):
 def cmd_study(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.kind == "approximation":
+        results = approximation_study(2.0, [9, 17, 33, 65])
+        for (op, r), result in sorted(results.items()):
+            _atomic_write(out / f"approximation_{op}_r{r}.csv", lambda p, x=result: write_study_csv(p, x))
+            print(f"{op} r={r} exponent {result.fitted_exponent:.4f}")
+        return EXIT_OK
     cfg = SolverConfig(method="cg", tol=float(args.tol), max_iter=int(args.max_iter))
     if args.kind == "contrast":
         shape = _parse_grid(args.grid) if args.grid else (81, 81)
@@ -196,29 +197,46 @@ def cmd_study(args):
             [10.0, 100.0, 1000.0],
             shape,
             tol=cfg.tol,
+            max_iter=cfg.max_iter,
         )
         for method, result in sorted(results.items()):
             _atomic_write(out / f"contrast_{method}.csv", lambda p, r=result: write_study_csv(p, r))
             print(f"{method} exponent {result.fitted_exponent:.4f}")
-    elif args.kind == "convergence":
+    else:
         family = parse_family(args.family) if args.family else sine_1d()
         grids = [(9,), (17,), (33,), (65,)] if family.dim == 1 else [(9, 9), (17, 17), (33, 33)]
         result = convergence_study(family, grids, cfg)
         _atomic_write(out / "convergence.csv", lambda p: write_study_csv(p, result))
         print(f"convergence exponent {result.fitted_exponent:.4f}")
-    elif args.kind == "approximation":
-        results = approximation_study(2.0, [9, 17, 33, 65])
-        for (op, r), result in sorted(results.items()):
-            _atomic_write(out / f"approximation_{op}_r{r}.csv", lambda p, x=result: write_study_csv(p, x))
-            print(f"{op} r={r} exponent {result.fitted_exponent:.4f}")
-    else:
-        raise ConfigError(f"unknown study kind {args.kind!r}")
     return EXIT_OK
 
 
-# Every option's value when the command line leaves it out; a --config file
-# overrides these.  Subcommands set only the flags given, so a flag wins
-# over the file even when it equals its default.
+# The flags each subcommand reads, in --help order; argparse rejects any
+# other.  A study also rejects a flag given that its --kind does not read.
+_FLAGS = {
+    "validate": ("material", "family", "grid"),
+    "solve": ("material", "family", "grid", "load", "solver", "tol", "max_iter", "ref_lambda", "out"),
+    "homogenize": ("material", "family", "grid", "solver", "tol", "max_iter", "ref_lambda", "out"),
+    "study": ("kind", "family", "grid", "tol", "max_iter", "out"),
+}
+_STUDY_FLAGS = {
+    "contrast": ("grid", "tol", "max_iter", "out"),
+    "convergence": ("family", "tol", "max_iter", "out"),
+    "approximation": ("out",),
+}
+_OPTIONS = dict(
+    config=dict(help="key=value config file; flags override"),
+    material=dict(help="voxel file (header .json path)"),
+    family=dict(help="built-in family, e.g. checkerboard:1,100"),
+    grid=dict(help="odd grid shape, e.g. 81,81"),
+    load=dict(help="mean gradient, e.g. 1,0"),
+    solver=dict(choices=["cg", "neumann"]),
+    tol={}, max_iter={}, ref_lambda={}, out={},
+    kind=dict(choices=list(_STUDY_FLAGS)),
+)
+
+# Every option's value when neither a flag nor the --config file sets it.
+# Each key may appear in a config file, whichever subcommands read it.
 _DEFAULTS = dict(
     material=None, family=None, grid=None, load=None, solver="cg", tol="1e-6",
     max_iter="10000", ref_lambda=None, out="out", kind="contrast",
@@ -227,55 +245,34 @@ _DEFAULTS = dict(
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="fftcell")
-    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--material", help="voxel file (header .json path)")
-        p.add_argument("--family", help="built-in family, e.g. checkerboard:1,100")
-        p.add_argument("--grid", help="odd grid shape, e.g. 81,81")
-        p.add_argument("--load", help="mean gradient, e.g. 1,0")
-        p.add_argument("--solver", choices=["cg", "neumann"])
-        p.add_argument("--tol")
-        p.add_argument("--max-iter", dest="max_iter")
-        p.add_argument("--ref-lambda", dest="ref_lambda")
-        p.add_argument("--out")
-
-    for name in ("validate", "solve", "homogenize", "study"):
+    for name, flags in _FLAGS.items():
+        # Only the flags given reach the namespace, so each wins over the
+        # config file even when it equals its default.
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        add_common(p)
-        if name == "study":
-            p.add_argument("--kind", choices=["contrast", "convergence", "approximation"])
+        for flag in ("config",) + flags:
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **_OPTIONS[flag])
     return parser
 
 
-def _config_values(argv):
-    """The key/value pairs of the --config file named in ``argv``, if any."""
-    pre = argparse.ArgumentParser(prog="fftcell", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return {}
-    values = _read_config(path)
-    for key in values:
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-    return values
-
-
 def main(argv=None):
-    parser = build_parser()
     try:
-        parser.set_defaults(**_config_values(argv))
-        args = parser.parse_args(argv)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "homogenize":
-            return cmd_homogenize(args)
-        return cmd_study(args)
+        given = vars(build_parser().parse_args(argv))
+        command = given.pop("command")
+        values = dict(_DEFAULTS)
+        if "config" in given:
+            values.update(_read_config(given.pop("config")))
+        values.update(given)
+        args = argparse.Namespace(**values)
+        if command == "study":
+            reads = _STUDY_FLAGS.get(args.kind)
+            if reads is None:
+                raise ConfigError(f"unknown study kind {args.kind!r}")
+            unread = [f"--{f.replace('_', '-')}" for f in given if f not in ("kind",) + reads]
+            if unread:
+                raise ConfigError(f"study --kind {args.kind} does not read {' '.join(unread)}")
+        commands = dict(validate=cmd_validate, solve=cmd_solve, homogenize=cmd_homogenize, study=cmd_study)
+        return commands[command](args)
     except VoxelFormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -95,11 +95,12 @@ class CoefficientField:
             lam_min = lam_max = data
         else:
             lam_min, lam_max = _eigen_range(data, d)
-        if np.min(lam_min) <= 0:
+        c_A = float(np.min(lam_min))
+        if c_A <= 0:
             slot = np.unravel_index(int(np.argmin(lam_min)), self.spec.shape)
             raise MaterialDataError(
                 f"coefficient tensor not positive definite at grid slot {slot} "
-                f"(min eigenvalue {np.min(lam_min):.6g})"
+                f"(min eigenvalue {c_A:.6g})"
             )
         C_A = float(np.max(lam_max))
         if C_A < np.finfo(float).tiny:
@@ -109,7 +110,7 @@ class CoefficientField:
                 f"{np.finfo(float).tiny:.6g}); rescale the coefficients"
             )
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "c_A", float(np.min(lam_min)))
+        object.__setattr__(self, "c_A", c_A)
         object.__setattr__(self, "C_A", C_A)
 
     @property

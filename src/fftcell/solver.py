@@ -93,8 +93,16 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (0 < self.tol < 1):
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if (
+            isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, (int, np.integer))
+            or self.max_iter < 1
+        ):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        if self.reference is not None and not isinstance(self.reference, ReferenceTensor):
+            raise ValueError(
+                f"reference must be a ReferenceTensor or None, got {type(self.reference).__name__}"
+            )
         if (
             self.method == "cg"
             and self.reference is not None
@@ -220,6 +228,8 @@ def solve(
     """
     spec = a.spec
     d = spec.dim
+    if load.dim != d:
+        raise ValueError("load case dimension does not match grid")
     cg = cfg.method == "cg"
     packed = a.data.ndim > d
     E_max = float(np.max(np.abs(load.E))) or 1.0  # E = 0 gives rhs = 0

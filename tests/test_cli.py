@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,14 @@ from fftcell.material import load_field, save_voxel
 
 def run(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """``main``'s exit code, argparse's own exits included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def make_isotropic_voxel(tmp_path, value=5.0, n=9):
@@ -280,3 +290,70 @@ class TestStudy:
         ) == 0
         assert (out / "contrast_cg.csv").exists()
         assert (out / "contrast_neumann.csv").exists()
+
+
+# The flags each subcommand reads, and a valid value for each.
+READS = {
+    "validate": ["--config", "--material", "--family", "--grid"],
+    "solve": ["--config", "--material", "--family", "--grid", "--load", "--solver", "--tol",
+              "--max-iter", "--ref-lambda", "--out"],
+    "homogenize": ["--config", "--material", "--family", "--grid", "--solver", "--tol",
+                   "--max-iter", "--ref-lambda", "--out"],
+    "study": ["--config", "--kind", "--family", "--grid", "--tol", "--max-iter", "--out"],
+}
+STUDY_READS = {
+    "contrast": ["--grid", "--tol", "--max-iter", "--out"],
+    "convergence": ["--family", "--tol", "--max-iter", "--out"],
+    "approximation": ["--out"],
+}
+VALUES = {
+    "--config": "run.cfg", "--material": "mat.json", "--family": "sine1d", "--grid": "9",
+    "--load": "1", "--solver": "cg", "--tol": "1e-3", "--max-iter": "5",
+    "--ref-lambda": "2", "--out": "out", "--kind": "convergence",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, reads in READS.items() for f in VALUES if f not in reads],
+    )
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, command, flag, capsys):
+        assert exit_code([command, flag, VALUES[flag]]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        assert exit_code([command, "--help"]) == 0
+        assert re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M) == READS[command]
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [(k, f) for k, reads in STUDY_READS.items()
+         for f in READS["study"] if f not in reads + ["--config", "--kind"]],
+    )
+    def test_a_flag_the_study_kind_does_not_read_exits_2(self, tmp_path, kind, flag, capsys):
+        out = tmp_path / "out"
+        assert run(["study", "--kind", kind, flag, VALUES[flag], "--out", str(out)]) == 2
+        assert f"study --kind {kind} does not read {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_study_passes_max_iter_to_the_contrast_study(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["study", "--kind", "contrast", "--grid", "27,27", "--max-iter", "1",
+                    "--out", str(out)]) == 0
+        flags = (out / "contrast_neumann.csv").read_text().splitlines()[-1]
+        assert flags == "flags,censored:10;censored:100;censored:1000"
+
+    def test_an_unknown_study_kind_in_the_config_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = spectral\n")
+        assert run(["study", "--config", str(cfg)]) == 2
+        assert "unknown study kind 'spectral'" in capsys.readouterr().err
+
+    def test_config_keys_the_subcommand_does_not_read_are_left_unused(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = homogeneous:3\ngrid = 9,9\nload = 1,0\nkind = approximation\n")
+        out = tmp_path / "out"
+        assert run(["homogenize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "effective_tensor.csv").read_text() == "3,0\n0,3\n"

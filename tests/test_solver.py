@@ -61,6 +61,7 @@ class TestConfigTypes:
             {"tol": 0.0},
             {"max_iter": 0},
             {"max_iter": 2.5},
+            {"max_iter": True},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -71,6 +72,18 @@ class TestConfigTypes:
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError, match="scalar"):
             SolverConfig(method="cg", reference=ref)
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_a_reference_must_be_a_reference_tensor(self, method):
+        with pytest.raises(ValueError, match="ReferenceTensor or None, got ndarray"):
+            SolverConfig(method=method, reference=np.eye(2))
+
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    def test_solve_checks_the_load_dimension(self, method):
+        family = checkerboard_2d(1.0, 10.0)
+        a = family.sample(family.default_spec((9, 9)))
+        with pytest.raises(ValueError, match="load case dimension does not match grid"):
+            solve(a, LoadCase((1.0, 0.0, 0.0)), SolverConfig(method=method))
 
     def test_neumann_accepts_non_scalar_reference(self):
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
