@@ -27,12 +27,13 @@ from .green import ReferenceTensor
 from .homogenize import (
     ConvergenceError,
     effective_tensor,
+    flux_field,
     mean_flux,
     unit_loads,
     write_history_csv,
     write_tensor_csv,
 )
-from .material import MaterialDataError, VoxelFormatError, _atomic_write, apply_A, load_voxel, save_field
+from .material import MaterialDataError, VoxelFormatError, _atomic_write, load_voxel, save_field
 from .solver import LoadCase, SolverConfig, solve
 from .transforms import GridField, l2_inner
 
@@ -142,12 +143,12 @@ def cmd_solve(args):
     ]
     if report.converged:
         save_field(out / "solution.json", report.solution)
-        total = GridField(a.spec, report.solution.values + load.expand(a.spec).values)
-        j = apply_A(a, total)
+        j = flux_field(a, report, load)
         save_field(out / "flux.json", j)
         lines.append("mean_flux " + ",".join(f"{v:.17g}" for v in mean_flux(j)))
         E2 = float(np.dot(load.E, load.E))
         if E2 > 0:
+            total = GridField(a.spec, report.solution.values + load.expand(a.spec).values)
             lines.append(f"effective_value {l2_inner(j, total) / E2:.17g}")
     else:
         lines.append(f"message {report.message}")
@@ -244,6 +245,7 @@ _DEFAULTS = dict(
 
 
 def build_parser():
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(prog="fftcell")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in _FLAGS.items():
@@ -252,13 +254,18 @@ def build_parser():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for flag in ("config",) + flags:
             p.add_argument("--" + flag.replace("_", "-"), dest=flag, **_OPTIONS[flag])
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
     try:
-        given = vars(build_parser().parse_args(argv))
+        parser, subparsers = build_parser()
+        namespace, unknown = parser.parse_known_args(argv)
+        given = vars(namespace)
         command = given.pop("command")
+        if unknown:
+            # Report it with the usage line of the flags this command takes.
+            subparsers[command].error(f"unrecognized arguments: {' '.join(unknown)}")
         values = dict(_DEFAULTS)
         if "config" in given:
             values.update(_read_config(given.pop("config")))

@@ -32,31 +32,32 @@ class Family:
     default_half_periods: tuple
     vectorized: bool = False  # sampler maps a (d, *N) grid to (*N) scalars
 
+    def _check_axes(self, axes):
+        if axes != self.dim:
+            raise ValueError(f"family {self.name!r} is {self.dim}-dimensional, grid has {axes} axes")
+
     def sample(self, spec: GridSpec) -> CoefficientField:
-        if spec.dim != self.dim:
-            raise ValueError(
-                f"family {self.name!r} is {self.dim}-dimensional, grid is {spec.dim}"
-            )
+        self._check_axes(spec.dim)
         if self.vectorized:
             return CoefficientField.isotropic(spec, self.sampler(coordinate_grid(spec)))
         return sample_analytic(self.sampler, spec)
 
     def default_spec(self, shape) -> GridSpec:
-        return GridSpec(self.default_half_periods, tuple(shape))
+        shape = tuple(shape)
+        self._check_axes(len(shape))
+        return GridSpec(self.default_half_periods, shape)
 
 
-def homogeneous(value, dim=2):
+def _built_in(name, sampler, regularity, dim=2):
+    """A built-in family: a vectorized sampler on the cell ``[-1, 1]^d``."""
+    return Family(name, dim, sampler, regularity, (1.0,) * dim, vectorized=True)
+
+
+def homogeneous(value=1.0, dim=2):
     value = float(value)
     if value <= 0:
         raise ValueError("homogeneous coefficient must be positive")
-    return Family(
-        name=f"homogeneous({value:g})",
-        dim=dim,
-        sampler=lambda x: np.full(np.shape(x)[1:], value),
-        regularity="smooth",
-        default_half_periods=(1.0,) * dim,
-        vectorized=True,
-    )
+    return _built_in(f"homogeneous({value:g})", lambda x: np.full(np.shape(x)[1:], value), "smooth", dim)
 
 
 def sine_1d():
@@ -65,14 +66,7 @@ def sine_1d():
     The exact effective coefficient is the harmonic mean
     1 / <1/A> = sqrt(3^2 - 2^2) = sqrt(5).
     """
-    return Family(
-        name="sine1d",
-        dim=1,
-        sampler=lambda x: 3.0 + 2.0 * np.sin(np.pi * x[0]),
-        regularity="smooth",
-        default_half_periods=(1.0,),
-        vectorized=True,
-    )
+    return _built_in("sine1d", lambda x: 3.0 + 2.0 * np.sin(np.pi * x[0]), "smooth", 1)
 
 
 def smooth_inclusion_2d(contrast):
@@ -89,14 +83,7 @@ def smooth_inclusion_2d(contrast):
         bump = np.prod((1.0 + np.cos(np.pi * np.asarray(x))) / 2.0, axis=0)
         return 1.0 + (contrast - 1.0) * bump
 
-    return Family(
-        name=f"inclusion-smooth({contrast:g})",
-        dim=2,
-        sampler=sampler,
-        regularity="smooth",
-        default_half_periods=(1.0, 1.0),
-        vectorized=True,
-    )
+    return _built_in(f"inclusion-smooth({contrast:g})", sampler, "smooth")
 
 
 def disk_inclusion_2d(a_matrix, a_inclusion, radius=0.5):
@@ -109,14 +96,7 @@ def disk_inclusion_2d(a_matrix, a_inclusion, radius=0.5):
         inside = x[0] ** 2 + x[1] ** 2 < radius**2
         return np.where(inside, a_inclusion, a_matrix)
 
-    return Family(
-        name=f"inclusion-disk({a_matrix:g},{a_inclusion:g})",
-        dim=2,
-        sampler=sampler,
-        regularity="low-regularity",
-        default_half_periods=(1.0, 1.0),
-        vectorized=True,
-    )
+    return _built_in(f"inclusion-disk({a_matrix:g},{a_inclusion:g})", sampler, "low-regularity")
 
 
 def checkerboard_2d(a1, a2):
@@ -138,35 +118,32 @@ def checkerboard_2d(a1, a2):
         s = np.sign(x[0]) * np.sign(x[1])
         return np.where(s > 0, a1, np.where(s < 0, a2, interface))
 
-    return Family(
-        name=f"checkerboard({a1:g},{a2:g})",
-        dim=2,
-        sampler=sampler,
-        regularity="low-regularity",
-        default_half_periods=(1.0, 1.0),
-        vectorized=True,
-    )
+    return _built_in(f"checkerboard({a1:g},{a2:g})", sampler, "low-regularity")
+
+
+# The names ``parse_family`` reads: ``name:p1,p2`` calls the constructor
+# with the floats p1, p2.
+FAMILIES = {
+    "homogeneous": homogeneous,
+    "sine1d": sine_1d,
+    "inclusion": smooth_inclusion_2d,
+    "disk": disk_inclusion_2d,
+    "checkerboard": checkerboard_2d,
+}
 
 
 def parse_family(text):
     """Parse a CLI family string like ``checkerboard:1,100`` or ``sine1d``."""
     name, _, args = text.partition(":")
-    params = [float(p) for p in args.split(",") if p] if args else []
     name = name.strip().lower()
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")
+    bad = f"bad parameters for family {name!r}: {args!r}"
     try:
-        if name == "homogeneous":
-            return homogeneous(*params) if params else homogeneous(1.0)
-        if name == "sine1d":
-            return sine_1d()
-        if name == "inclusion":
-            return smooth_inclusion_2d(*params)
-        if name == "disk":
-            return disk_inclusion_2d(*params)
-        if name == "checkerboard":
-            return checkerboard_2d(*params)
+        params = [float(p) for p in args.split(",") if p]
+    except ValueError as exc:
+        raise ValueError(bad) from exc
+    try:
+        return FAMILIES[name](*params)
     except TypeError as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {args!r}") from exc
-    raise ValueError(
-        f"unknown family {name!r}; known: homogeneous, sine1d, inclusion, "
-        "disk, checkerboard"
-    )
+        raise ValueError(bad) from exc

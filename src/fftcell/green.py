@@ -133,8 +133,9 @@ class GreenOperator:
         operator's workspace, reinterpreted as complex64, so it adds a
         quarter of a ``(d, *N)`` float64 field.  Given float32 fields and
         complex128 scalars, :meth:`synthesize` and :meth:`analyze` run the
-        FFT passes in single precision and accumulate ``n . v_hat`` into
-        complex128.
+        FFT passes in single precision.  :meth:`analyze` accumulates
+        ``n . v_hat`` in its complex64 ``_dots`` too; only the final
+        multiply widens the scalars to complex128.
         """
         if not self.ref.scalar_mode:
             raise ValueError("a float32 twin needs a scalar reference")

@@ -88,8 +88,10 @@ def flux_field(a: CoefficientField, report: SolveReport, load: LoadCase) -> Grid
     """Flux j = A (E + e~); its mean is the corresponding A_eff column."""
     if not report.converged:
         raise ValueError("flux field requires a converged solve report")
-    total = GridField(a.spec, report.solution.values + load.expand(a.spec).values)
-    return apply_A(a, total)
+    if load.dim != a.spec.dim:
+        raise ValueError("load case dimension does not match grid")
+    E = np.reshape(load.E, (-1,) + (1,) * a.spec.dim)
+    return apply_A(a, GridField(a.spec, report.solution.values + E))
 
 
 def mean_flux(j: GridField) -> np.ndarray:

@@ -233,10 +233,11 @@ def apply_A(a: CoefficientField, u: GridField) -> GridField:
 # Voxel file format: <name>.json header + <name>.bin float64-LE payload in
 # the grid storage order: row-major, FFT-shifted (see fftcell.grid).
 
-_KIND_COMPONENTS = {
-    "isotropic": lambda d: 1,
-    "symmetric-tensor": lambda d: d * (d + 1) // 2,
-    "vector": lambda d: d,
+# Voxel kind -> payload shape on a grid.
+_PAYLOAD_SHAPES = {
+    "isotropic": lambda spec: spec.shape,
+    "symmetric-tensor": lambda spec: (spec.dim * (spec.dim + 1) // 2,) + spec.shape,
+    "vector": lambda spec: (spec.dim,) + spec.shape,
 }
 
 
@@ -264,11 +265,10 @@ def _atomic_write(path, writer):
 def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
     """Write a header/payload pair atomically, payload first; payload shape
     must match ``kind``."""
-    if not isinstance(kind, str) or kind not in _KIND_COMPONENTS:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_SHAPES:
         raise MaterialDataError(f"unknown voxel kind {kind!r}")
-    ncomp = _KIND_COMPONENTS[kind](spec.dim)
     payload = np.ascontiguousarray(payload, dtype="<f8")
-    expected = spec.shape if kind == "isotropic" else (ncomp,) + spec.shape
+    expected = _PAYLOAD_SHAPES[kind](spec)
     if payload.shape != expected:
         raise MaterialDataError(f"payload shape {payload.shape} != expected {expected}")
     header = {
@@ -284,15 +284,11 @@ def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
     _atomic_write(hpath, lambda tmp: Path(tmp).write_text(json.dumps(header, indent=2) + "\n"))
 
 
-def save_coefficients(path, a: CoefficientField, kind="symmetric-tensor"):
-    if kind == "isotropic":
-        if a.data.shape != a.spec.shape:
-            raise MaterialDataError("field is not isotropic; cannot save as such")
-        save_voxel(path, a.spec, a.data, "isotropic")
-    elif kind == "symmetric-tensor":
-        save_voxel(path, a.spec, a.components, "symmetric-tensor")
-    else:
-        raise MaterialDataError(f"cannot save coefficients as kind {kind!r}")
+def save_coefficients(path, a: CoefficientField):
+    """Write ``a`` as the kind its storage holds: ``isotropic`` scalars or
+    ``symmetric-tensor`` packed components."""
+    kind = "isotropic" if a.data.shape == a.spec.shape else "symmetric-tensor"
+    save_voxel(path, a.spec, a.data, kind)
 
 
 def save_field(path, u: GridField):
@@ -321,42 +317,37 @@ def load_header(path):
     return header
 
 
-def _load_payload(path, header):
+def _read_voxel(path, kinds, holds):
+    """The grid and payload of a voxel pair whose kind is one of ``kinds``;
+    any other kind is reported as not holding ``holds`` before the payload
+    is read."""
+    header = load_header(path)
     try:
         spec = GridSpec(tuple(header["half_periods"]), tuple(header["shape"]))
     except (ValueError, TypeError, OverflowError) as exc:
         raise VoxelFormatError(f"voxel header describes no valid odd grid: {exc}") from exc
     kind = header["kind"]
-    if not isinstance(kind, str) or kind not in _KIND_COMPONENTS:
+    if not isinstance(kind, str) or kind not in _PAYLOAD_SHAPES:
         raise VoxelFormatError(f"unknown voxel kind {kind!r}")
-    ncomp = _KIND_COMPONENTS[kind](spec.dim)
+    if kind not in kinds:
+        raise MaterialDataError(f"voxel kind {kind!r} does not hold {holds}")
+    shape = _PAYLOAD_SHAPES[kind](spec)
     bpath = _header_path(path).with_suffix(".bin")
     try:
         data = np.fromfile(bpath, dtype="<f8")
     except OSError as exc:
         raise VoxelFormatError(f"cannot read voxel payload {bpath}: {exc}") from exc
-    if data.size != ncomp * spec.total:
-        raise VoxelFormatError(
-            f"payload {bpath} holds {data.size} values, expected {ncomp * spec.total}"
-        )
-    shape = spec.shape if kind == "isotropic" else (ncomp,) + spec.shape
-    return spec, kind, data.reshape(shape)
+    if data.size != np.prod(shape):
+        raise VoxelFormatError(f"payload {bpath} holds {data.size} values, expected {np.prod(shape)}")
+    return spec, data.reshape(shape)
 
 
 def load_voxel(path) -> CoefficientField:
     """Load a coefficient field from a voxel file pair, on the cell
     geometry of its header."""
-    spec, kind, payload = _load_payload(path, load_header(path))
-    if kind == "isotropic":
-        return CoefficientField.isotropic(spec, payload)
-    if kind == "symmetric-tensor":
-        return CoefficientField(spec, payload)
-    raise MaterialDataError(f"voxel kind {kind!r} does not hold coefficient data")
+    spec, payload = _read_voxel(path, ("isotropic", "symmetric-tensor"), "coefficient data")
+    return CoefficientField(spec, payload)
 
 
 def load_field(path) -> GridField:
-    header = load_header(path)
-    spec, kind, payload = _load_payload(path, header)
-    if kind != "vector":
-        raise MaterialDataError(f"voxel kind {kind!r} does not hold a vector field")
-    return GridField(spec, payload)
+    return GridField(*_read_voxel(path, ("vector",), "a vector field"))

@@ -1,18 +1,21 @@
-"""DFT with the mean-carrying normalization used throughout this package,
+"""DFT in the public coefficient convention of ``SpectralField``,
 trigonometric interpolation/truncation and discrete Sobolev norms.
 
 Conventions
 -----------
-The forward transform carries the ``1/|N|`` factor:
+The ``1/|N|`` convention is the public coefficient convention of
+``SpectralField``: the forward transform carries the factor,
 
     u_hat(k) = (1/|N|) sum_m u(x^m) exp(-2 pi i sum_a k_a m_a / N_a),
 
-so the inverse is the plain exponential sum.  The continuous basis function
-attached to index ``k`` is ``phi_k(x) = exp(i pi <xi(k), x>)`` with
-``xi(k) = k / Y``; at the grid points ``phi_k(x^m)`` reduces to the DFT
-kernel, which is why ``numpy.fft`` applies verbatim on shift-stored arrays.
-Grids are odd, so Hermitian symmetry of real data is preserved exactly on
-the reduced lattice.
+so the inverse is the plain exponential sum.  The Green operator's passes
+use numpy's unitary ``norm="ortho"`` scaling instead; their half-lattice
+scalars are not ``SpectralField`` coefficients.  The continuous basis
+function attached to index ``k`` is ``phi_k(x) = exp(i pi <xi(k), x>)``
+with ``xi(k) = k / Y``; at the grid points ``phi_k(x^m)`` reduces to the
+DFT kernel, which is why ``numpy.fft`` applies verbatim on shift-stored
+arrays.  Grids are odd, so Hermitian symmetry of real data is preserved
+exactly on the reduced lattice.
 """
 
 from __future__ import annotations

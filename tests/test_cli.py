@@ -206,6 +206,20 @@ class TestHomogenize:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("sine1d", "family 'sine1d' is 1-dimensional, grid has 2 axes"),
+            ("checkerboard:1,x", "bad parameters for family 'checkerboard': '1,x'"),
+        ],
+        ids=["dimension", "parameters"],
+    )
+    def test_a_bad_family_input_is_named(self, tmp_path, capsys, family, message):
+        out = tmp_path / "out"
+        assert run(["homogenize", "--family", family, "--grid", "27,27", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         code = run(
             ["homogenize", "--family", "sine1d", "--grid", "99",
@@ -321,6 +335,12 @@ class TestFlags:
     def test_a_flag_the_subcommand_does_not_read_exits_2(self, command, flag, capsys):
         assert exit_code([command, flag, VALUES[flag]]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_an_unread_flag_gets_the_subcommand_usage_line(self, command, capsys):
+        flag = next(f for f in VALUES if f not in READS[command])
+        assert exit_code([command, flag, VALUES[flag]]) == 2
+        assert capsys.readouterr().err.startswith(f"usage: fftcell {command} ")
 
     @pytest.mark.parametrize("command", list(READS))
     def test_help_lists_exactly_the_flags_read(self, command, capsys):

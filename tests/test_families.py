@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fftcell.families
 import fftcell.material
 from fftcell.families import (
+    FAMILIES,
     checkerboard_2d,
     disk_inclusion_2d,
     homogeneous,
@@ -58,6 +62,10 @@ class TestSamplers:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimensional"):
             sine_1d().sample(GridSpec((1.0, 1.0), (5, 5)))
+
+    def test_default_spec_names_the_family_of_the_wrong_dimension(self):
+        with pytest.raises(ValueError, match="family 'sine1d' is 1-dimensional, grid has 2 axes"):
+            sine_1d().default_spec((27, 27))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_phase_values_rejected(self, bad):
@@ -122,6 +130,24 @@ class TestParsing:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             parse_family("perlin")
+
+    def test_every_known_name_parses(self):
+        with pytest.raises(ValueError, match="known: ") as exc:
+            parse_family("perlin")
+        known = str(exc.value).split("known: ")[1].split(", ")
+        assert known == list(FAMILIES)
+        for name in known:
+            params = {"disk": ":1,50", "checkerboard": ":1,100", "inclusion": ":10"}.get(name, "")
+            assert parse_family(name + params).dim in (1, 2)
+
+    def test_readme_lists_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        line = readme.split("Built-in coefficient families:")[1].split("\n\n")[0]
+        assert re.findall(r"`([a-z0-9]+)[:`]", line) == list(FAMILIES)
+
+    def test_unparsable_parameter_names_the_family(self):
+        with pytest.raises(ValueError, match="bad parameters for family 'checkerboard': '1,x'"):
+            parse_family("checkerboard:1,x")
 
     def test_bad_parameter_count_rejected(self):
         with pytest.raises(ValueError, match="parameters"):

@@ -392,6 +392,15 @@ class TestSingleTwin:
         assert s.dtype == complex and s.shape == twin.n.shape[1:]
         assert twin.n.dtype == np.float32
 
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_its_dots_accumulate_in_complex64(self, spec, rng):
+        twin = GreenOperator(spec).single()
+        s = twin.analyze(random_field(spec, rng).values.astype(np.float32))
+        assert twin._dots.dtype == np.complex64
+        # The same spectrum, its dot product accumulated in complex128.
+        wide = np.einsum("a...,a...->...", twin.n.astype(float), twin._spectrum.astype(complex))
+        assert np.max(np.abs(s - wide)) <= 1e-6 * np.max(np.abs(wide))
+
     def test_it_shares_the_workspace(self):
         green = GreenOperator(self.SPECS[1], ReferenceTensor.scalar(2.0, 3))
         twin = green.single()

@@ -298,25 +298,19 @@ class TestLeanStorage:
     def test_isotropic_save_load_round_trip_is_byte_exact(self, tmp_path, rng):
         spec = GridSpec((1.0, 2.0), (5, 7))
         a = CoefficientField.isotropic(spec, 0.5 + rng.random(spec.shape))
-        save_coefficients(tmp_path / "a.json", a, kind="isotropic")
+        save_coefficients(tmp_path / "a.json", a)
         raw = (tmp_path / "a.bin").read_bytes()
         assert raw == a.data.astype("<f8").tobytes()
         b = load_voxel(tmp_path / "a.json")
         assert np.array_equal(a.data, b.data)
-        save_coefficients(tmp_path / "b.json", b, kind="isotropic")
+        save_coefficients(tmp_path / "b.json", b)
         assert (tmp_path / "b.bin").read_bytes() == raw
 
-    def test_anisotropic_field_cannot_be_saved_as_isotropic(self, tmp_path, rng):
-        a = random_spd_field(GridSpec((1.0, 1.0), (5, 5)), rng)
-        with pytest.raises(MaterialDataError, match="not isotropic"):
-            save_coefficients(tmp_path / "a.json", a, kind="isotropic")
-
-    @pytest.mark.parametrize("kind", ["vector", "bogus"])
-    def test_unknown_save_kind_rejected(self, kind, tmp_path, rng):
-        a = random_spd_field(GridSpec((1.0, 1.0), (5, 5)), rng)
-        with pytest.raises(MaterialDataError, match=repr(kind)):
-            save_coefficients(tmp_path / "a.json", a, kind=kind)
-        assert not (tmp_path / "a.json").exists()
+    def test_isotropic_field_is_saved_as_one_scalar_per_voxel(self, tmp_path):
+        spec = GridSpec((1.0, 1.0, 1.0), (5, 3, 7))
+        save_coefficients(tmp_path / "a.json", CoefficientField.isotropic(spec, np.full(spec.shape, 3.0)))
+        assert json.loads((tmp_path / "a.json").read_text())["kind"] == "isotropic"
+        assert (tmp_path / "a.bin").stat().st_size == 8 * spec.total
 
     def test_subnormal_coefficient_scale_rejected(self):
         spec = GridSpec((1.0, 1.0), (3, 3))
@@ -569,6 +563,14 @@ class TestVoxelFiles:
         save_field(tmp_path / "u.json", random_field(spec, rng))
         with pytest.raises(MaterialDataError, match="coefficient"):
             load_voxel(tmp_path / "u.json")
+
+    def test_kind_is_checked_before_the_payload_is_read(self, tmp_path, rng):
+        spec = GridSpec((1.0, 1.0), (5, 5))
+        save_field(tmp_path / "u.json", random_field(spec, rng))
+        (tmp_path / "u.bin").unlink()
+        with pytest.raises(MaterialDataError, match="does not hold coefficient data") as exc:
+            load_voxel(tmp_path / "u.json")
+        assert not isinstance(exc.value, VoxelFormatError)
 
     def test_coefficient_kind_rejected_as_vector_field(self, tmp_path):
         spec = GridSpec((1.0,), (9,))
