@@ -17,7 +17,7 @@ from .grid import GridSpec, index_grid, underlined_frequency_grid
 from .material import CoefficientField, contract
 from .green import GreenOperator
 from .homogenize import unit_loads
-from .solver import LoadCase, SolverConfig, solve, solve_cg
+from .solver import LoadCase, SolverConfig, solve
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -121,14 +121,14 @@ def convergence_study(family, grids, cfg: SolverConfig):
     load = unit_loads(family.dim)[0]
     ref_shape = tuple(4 * n + 1 for n in grids[-1])
     ref_spec = family.default_spec(ref_shape)
-    ref_report = solve_cg(family.sample(ref_spec), load, cfg)
+    ref_report = solve(family.sample(ref_spec), load, cfg)
     if not ref_report.converged:
         raise RuntimeError("reference solve did not converge")
 
     axis, values = [], []
     for shape in grids:
         spec = family.default_spec(shape)
-        report = solve_cg(family.sample(spec), load, cfg)
+        report = solve(family.sample(spec), load, cfg)
         if not report.converged:
             raise RuntimeError(f"study solve on {shape} did not converge")
         axis.append(spec.C_h)

@@ -27,13 +27,12 @@ from .green import ReferenceTensor
 from .homogenize import (
     ConvergenceError,
     effective_tensor,
-    flux_field,
     mean_flux,
     unit_loads,
     write_history_csv,
     write_tensor_csv,
 )
-from .material import MaterialDataError, VoxelFormatError, _atomic_write, load_voxel, save_field
+from .material import MaterialDataError, VoxelFormatError, _atomic_write, apply_A, load_voxel, save_field
 from .solver import LoadCase, SolverConfig, solve
 from .transforms import GridField, l2_inner
 
@@ -67,21 +66,23 @@ def _read_config(path):
     return values
 
 
-def _parse_grid(text):
+def _parse(text, name, convert=float):
+    """``convert(text)``; a malformed value is reported with ``name``."""
     try:
-        shape = tuple(int(p) for p in text.split(",") if p)
+        return convert(text)
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}") from exc
+        raise ConfigError(f"bad {name} {text!r}") from exc
+
+
+def _parse_grid(text):
+    shape = _parse(text, "grid", lambda t: tuple(int(p) for p in t.split(",") if p))
     if not shape:
         raise ConfigError("empty grid")
     return shape
 
 
 def _parse_load(text, dim):
-    try:
-        comps = tuple(float(p) for p in text.split(",") if p)
-    except ValueError as exc:
-        raise ConfigError(f"bad load {text!r}") from exc
+    comps = _parse(text, "load", lambda t: tuple(float(p) for p in t.split(",") if p))
     if len(comps) != dim:
         raise ConfigError(f"load has {len(comps)} components, problem dimension is {dim}")
     return LoadCase(comps)
@@ -101,11 +102,11 @@ def _resolve_material(args):
 
 
 def _solver_config(args, dim):
-    tol = float(args.tol)
-    max_iter = int(args.max_iter)
+    tol = _parse(args.tol, "--tol")
+    max_iter = _parse(args.max_iter, "--max-iter", int)
     reference = None
     if args.ref_lambda is not None:
-        reference = ReferenceTensor.scalar(float(args.ref_lambda), dim)
+        reference = ReferenceTensor.scalar(_parse(args.ref_lambda, "--ref-lambda"), dim)
     return SolverConfig(method=args.solver, tol=tol, max_iter=max_iter, reference=reference)
 
 
@@ -143,12 +144,12 @@ def cmd_solve(args):
     ]
     if report.converged:
         save_field(out / "solution.json", report.solution)
-        j = flux_field(a, report, load)
+        total = GridField(a.spec, report.solution.values + load.on(a.spec))
+        j = apply_A(a, total)
         save_field(out / "flux.json", j)
         lines.append("mean_flux " + ",".join(f"{v:.17g}" for v in mean_flux(j)))
         E2 = float(np.dot(load.E, load.E))
         if E2 > 0:
-            total = GridField(a.spec, report.solution.values + load.expand(a.spec).values)
             lines.append(f"effective_value {l2_inner(j, total) / E2:.17g}")
     else:
         lines.append(f"message {report.message}")
@@ -190,7 +191,8 @@ def cmd_study(args):
             _atomic_write(out / f"approximation_{op}_r{r}.csv", lambda p, x=result: write_study_csv(p, x))
             print(f"{op} r={r} exponent {result.fitted_exponent:.4f}")
         return EXIT_OK
-    cfg = SolverConfig(method="cg", tol=float(args.tol), max_iter=int(args.max_iter))
+    tol, max_iter = _parse(args.tol, "--tol"), _parse(args.max_iter, "--max-iter", int)
+    cfg = SolverConfig(method="cg", tol=tol, max_iter=max_iter)
     if args.kind == "contrast":
         shape = _parse_grid(args.grid) if args.grid else (81, 81)
         results = contrast_study(

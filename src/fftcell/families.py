@@ -54,9 +54,13 @@ def _built_in(name, sampler, regularity, dim=2):
 
 
 def homogeneous(value=1.0, dim=2):
+    """The constant ``value`` in ``dim`` dimensions; ``parse_family`` passes ``dim`` as a float."""
     value = float(value)
     if value <= 0:
         raise ValueError("homogeneous coefficient must be positive")
+    if not (float(dim).is_integer() and dim >= 1):
+        raise ValueError(f"homogeneous dim must be a positive integer, got {dim!r}")
+    dim = int(dim)
     return _built_in(f"homogeneous({value:g})", lambda x: np.full(np.shape(x)[1:], value), "smooth", dim)
 
 

@@ -74,10 +74,6 @@ class ReferenceTensor:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
-    def contrast(self):
-        return self.C_bound / self.c_bound
-
 
 class GreenOperator:
     """Green operator of one (grid, reference) pair on the half spectrum.

@@ -72,8 +72,7 @@ def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
     flux = np.empty_like(total)
 
     def fill_total(beta):
-        E = np.reshape(loads[beta].E, (d,) + (1,) * d)
-        return np.add(reports[beta].solution.values, E, out=total)
+        return np.add(reports[beta].solution.values, loads[beta].on(a.spec), out=total)
 
     matrix = np.empty((d, d))
     for alpha in range(d):
@@ -88,10 +87,7 @@ def flux_field(a: CoefficientField, report: SolveReport, load: LoadCase) -> Grid
     """Flux j = A (E + e~); its mean is the corresponding A_eff column."""
     if not report.converged:
         raise ValueError("flux field requires a converged solve report")
-    if load.dim != a.spec.dim:
-        raise ValueError("load case dimension does not match grid")
-    E = np.reshape(load.E, (-1,) + (1,) * a.spec.dim)
-    return apply_A(a, GridField(a.spec, report.solution.values + E))
+    return apply_A(a, GridField(a.spec, report.solution.values + load.on(a.spec)))
 
 
 def mean_flux(j: GridField) -> np.ndarray:

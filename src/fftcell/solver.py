@@ -60,7 +60,7 @@ _FLOOR = 16.0  # rounding floor of the initial residual, in eps times max |A E| 
 
 @dataclass(frozen=True)
 class LoadCase:
-    """Mean applied gradient E."""
+    """Mean applied gradient E; :meth:`on` places it on a grid."""
 
     E: tuple
 
@@ -70,15 +70,17 @@ class LoadCase:
             raise ValueError(f"load case entries must be finite, got {E}")
         object.__setattr__(self, "E", E)
 
-    @property
-    def dim(self):
-        return len(self.E)
+    def on(self, spec: GridSpec) -> np.ndarray:
+        """E as a ``(d, 1, ..., 1)`` array that broadcasts against the ``(d, *N)``
+        fields of ``spec``, so ``e~ + load.on(spec)`` is the total ``E + e~``;
+        raises ValueError unless ``E`` has ``spec.dim`` entries."""
+        if len(self.E) != spec.dim:
+            raise ValueError("load case dimension does not match grid")
+        return np.reshape(self.E, (spec.dim,) + (1,) * spec.dim)
 
     def expand(self, spec: GridSpec) -> GridField:
         """Constant grid expansion E_N."""
-        if len(self.E) != spec.dim:
-            raise ValueError("load case dimension does not match grid")
-        return GridField.constant(spec, self.E)
+        return GridField.constant(spec, self.on(spec))
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,7 @@ def apply_system(a: CoefficientField, u: GridField) -> GridField:
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:
     """Discrete L2 norm of ``G A (candidate + E_N)``; zero iff it solves."""
-    total = GridField(a.spec, candidate.values + load.expand(a.spec).values)
-    return l2_norm(apply_system(a, total))
+    return l2_norm(apply_system(a, GridField(a.spec, candidate.values + load.on(a.spec))))
 
 
 def default_reference(a: CoefficientField) -> ReferenceTensor:
@@ -228,18 +229,17 @@ def solve(
     """
     spec = a.spec
     d = spec.dim
-    if load.dim != d:
-        raise ValueError("load case dimension does not match grid")
+    E = load.on(spec)
     cg = cfg.method == "cg"
     packed = a.data.ndim > d
-    E_max = float(np.max(np.abs(load.E))) or 1.0  # E = 0 gives rhs = 0
+    E_max = float(np.max(np.abs(E))) or 1.0  # E = 0 gives rhs = 0
     ref = _solver_reference(a, cfg)
     if green is None:
         green = GreenOperator(spec, ref)
     elif green.spec != spec or not np.array_equal(green.ref.matrix, ref.matrix):
         raise ValueError("green operator does not match the coefficients and config")
     units = a.C_A * E_max if cg else E_max
-    mean = np.reshape(np.divide(load.E, E_max), (d,) + (1,) * d)
+    mean = np.divide(E, E_max)
     field = np.empty((d,) + spec.shape)
     # Packed contraction cannot write into its input and needs a scratch row.
     flux = np.empty_like(field) if packed else field

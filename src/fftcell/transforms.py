@@ -90,18 +90,24 @@ def dft_forward(u: GridField) -> SpectralField:
     return SpectralField(u.spec, coeffs)
 
 
-def dft_inverse(s: SpectralField) -> GridField:
-    """Inverse DFT; rejects inputs whose imaginary residue exceeds tolerance."""
-    raw = np.fft.ifftn(s.coeffs, axes=_grid_axes(s.spec)) * s.spec.total
-    real = raw.real
-    scale = max(1.0, float(np.max(np.abs(real))) if real.size else 1.0)
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
+def _hermitian_real(values: np.ndarray) -> np.ndarray:
+    """The real part of values synthesized from Hermitian data; raises
+    ValueError when the imaginary residue exceeds ``IMAG_RESIDUE``."""
+    real = values.real
+    scale = max(1.0, float(np.max(np.abs(real))))
+    residue = float(np.max(np.abs(values.imag)))
     if residue > IMAG_RESIDUE * scale:
         raise ValueError(
             f"non-Hermitian spectral data: imaginary residue {residue:.3e} "
             f"exceeds {IMAG_RESIDUE:.1e} * {scale:.3e}"
         )
-    return GridField(s.spec, real)
+    return real
+
+
+def dft_inverse(s: SpectralField) -> GridField:
+    """Inverse DFT; rejects inputs whose imaginary residue exceeds tolerance."""
+    raw = np.fft.ifftn(s.coeffs, axes=_grid_axes(s.spec)) * s.spec.total
+    return GridField(s.spec, _hermitian_real(raw))
 
 
 def interpolate(f, spec: GridSpec) -> GridField:
@@ -145,11 +151,7 @@ def trig_eval(s: SpectralField, x) -> np.ndarray:
     d = s.spec.dim
     x = np.asarray(x, dtype=float).reshape((d,) + (1,) * d)
     phase = np.exp(1j * np.pi * np.sum(frequency_grid(s.spec) * x, axis=0))
-    total = (s.coeffs * phase).reshape(d, -1).sum(axis=1)
-    scale = max(1.0, float(np.max(np.abs(total.real))))
-    if float(np.max(np.abs(total.imag))) > IMAG_RESIDUE * scale:
-        raise ValueError("non-Hermitian spectral data: complex point value")
-    return total.real
+    return _hermitian_real((s.coeffs * phase).reshape(d, -1).sum(axis=1))
 
 
 def sobolev_norm(s: SpectralField, order: float) -> float:
@@ -184,7 +186,7 @@ def l2_norm(u: GridField) -> float:
     before squaring.  Power-of-two scaling is exact, so wherever the plain
     formula stays in range the result is the same bit for bit.
     """
-    peak = float(np.max(np.abs(u.values))) if u.values.size else 0.0
+    peak = float(np.max(np.abs(u.values)))
     if peak == 0.0 or not np.isfinite(peak):
         return peak
     exponent = int(np.frexp(peak)[1])

@@ -124,6 +124,21 @@ class TestConvergenceStudy:
         result = convergence_study(sine_1d(), [(9,), (17,)], cfg)
         assert result.axis[0] > result.axis[-1]
 
+    def test_a_neumann_config_gives_the_cg_errors(self):
+        tol = 1e-10
+        cg = convergence_study(sine_1d(), [(9,), (17,)], SolverConfig(tol=tol, max_iter=2000))
+        neumann = convergence_study(
+            sine_1d(), [(9,), (17,)], SolverConfig(method="neumann", tol=tol, max_iter=5000)
+        )
+        assert neumann.axis == cg.axis
+        # Each solution is within rho_A tol = 5 tol of the exact discrete one.
+        assert neumann.values == pytest.approx(cg.values, rel=0, abs=10 * tol)
+
+    def test_an_unconverged_reference_raises(self):
+        cfg = SolverConfig(tol=1e-12, max_iter=1)
+        with pytest.raises(RuntimeError, match="reference solve did not converge"):
+            convergence_study(sine_1d(), [(9,), (17,)], cfg)
+
 
 class TestContrastStudy:
     def test_iteration_counts_grow_with_contrast(self):

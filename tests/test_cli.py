@@ -57,6 +57,10 @@ class TestValidate:
         assert run(["validate", "--material", str(path)]) == 3
         assert "grid slot" in capsys.readouterr().err
 
+    def test_a_homogeneous_family_takes_its_dimension(self, capsys):
+        assert run(["validate", "--family", "homogeneous:5,1", "--grid", "9"]) == 0
+        assert "shape        (9,)" in capsys.readouterr().out
+
     def test_family_requires_grid(self, capsys):
         assert run(["validate", "--family", "sine1d"]) == 2
 
@@ -377,3 +381,19 @@ class TestFlags:
         out = tmp_path / "out"
         assert run(["homogenize", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "effective_tensor.csv").read_text() == "3,0\n0,3\n"
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("homogenize", "--max-iter", "2.5"),
+            ("homogenize", "--tol", "abc"),
+            ("solve", "--ref-lambda", "x"),
+            ("study", "--tol", "abc"),
+            ("study", "--max-iter", "1e3"),
+        ],
+    )
+    def test_a_malformed_number_names_its_option(self, tmp_path, capsys, command, flag, value):
+        source = [] if command == "study" else ["--family", "sine1d", "--grid", "9"]
+        out = tmp_path / "out"
+        assert run([command] + source + [flag, value, "--out", str(out)]) == 2
+        assert f"config error: bad {flag} '{value}'" in capsys.readouterr().err

@@ -127,6 +127,15 @@ class TestParsing:
         assert parse_family("inclusion:10").dim == 2
         assert parse_family("disk:1,50").dim == 2
 
+    def test_homogeneous_dimension_from_string(self):
+        assert parse_family("homogeneous:5,3").dim == 3
+        assert parse_family("homogeneous:5,1").default_spec((9,)).dim == 1
+
+    @pytest.mark.parametrize("dim", [2.5, 0, -1, float("inf"), float("nan")])
+    def test_homogeneous_rejects_non_integer_dimension(self, dim):
+        with pytest.raises(ValueError, match="homogeneous dim must be a positive integer"):
+            homogeneous(5.0, dim)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             parse_family("perlin")

@@ -38,13 +38,12 @@ class TestReferenceTensor:
         ref = ReferenceTensor.scalar(2.5, 3)
         assert ref.scalar_mode == 2.5
         assert np.array_equal(ref.matrix, 2.5 * np.eye(3))
-        assert ref.contrast == pytest.approx(1.0)
+        assert ref.c_bound == ref.C_bound == 2.5
 
     def test_bounds_are_extreme_eigenvalues(self):
         ref = ReferenceTensor(np.diag([2.0, 1.0]))
         assert ref.c_bound == pytest.approx(1.0)
         assert ref.C_bound == pytest.approx(2.0)
-        assert ref.contrast == pytest.approx(2.0)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -195,6 +195,12 @@ class TestTrigEval:
         s = truncate({(1,): [0.5], (-1,): [0.5]}, spec)
         assert trig_eval(s, (0.5,)) == pytest.approx([np.cos(np.pi / 2)], abs=1e-14)
 
+    def test_rejects_broken_conjugate_symmetry(self):
+        spec = GridSpec((1.0,), (5,))
+        s = truncate({(1,): [1.0]}, spec)  # missing the mirror mode
+        with pytest.raises(ValueError, match="imaginary residue"):
+            trig_eval(s, (0.5,))
+
 
 class TestSobolevNorm:
     def test_order_zero_is_the_l2_norm(self, rng):
