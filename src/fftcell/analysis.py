@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, index_grid, underlined_frequency_grid
-from .material import CoefficientField, contract
-from .green import GreenOperator
+from .material import CoefficientField
 from .homogenize import unit_loads
-from .solver import LoadCase, SolverConfig, solve
+from .solver import LoadCase, SolverConfig, System, solve
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -186,7 +185,7 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
     n = spec.dim * spec.total
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to |N|*d <= {DENSE_ORACLE_LIMIT}, got {n}")
-    green = GreenOperator(spec)
+    system = System(a)
     shape = (spec.dim,) + spec.shape
 
     def columns(op):
@@ -197,8 +196,8 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
             M[:, j] = op(e.reshape(shape)).ravel()
         return M
 
-    G = columns(green.gamma0)
-    M_sys = columns(lambda v: green.gamma0(contract(a.data, v)))
+    G = columns(system.green.gamma0)
+    M_sys = columns(lambda v: system.green.synthesize(system.analyze(v, None)))
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)
     B = U[:, s > 0.5]

@@ -183,9 +183,10 @@ def cmd_homogenize(args):
 
 
 def cmd_study(args):
+    # Each kind parses its values before it makes --out, so a bad one leaves none.
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "approximation":
+        out.mkdir(parents=True, exist_ok=True)
         results = approximation_study(2.0, [9, 17, 33, 65])
         for (op, r), result in sorted(results.items()):
             _atomic_write(out / f"approximation_{op}_r{r}.csv", lambda p, x=result: write_study_csv(p, x))
@@ -195,6 +196,8 @@ def cmd_study(args):
     cfg = SolverConfig(method="cg", tol=tol, max_iter=max_iter)
     if args.kind == "contrast":
         shape = _parse_grid(args.grid) if args.grid else (81, 81)
+        checkerboard_2d(1.0, 10.0).default_spec(shape)  # rejects a bad grid
+        out.mkdir(parents=True, exist_ok=True)
         results = contrast_study(
             lambda rho: checkerboard_2d(1.0, rho),
             [10.0, 100.0, 1000.0],
@@ -208,6 +211,7 @@ def cmd_study(args):
     else:
         family = parse_family(args.family) if args.family else sine_1d()
         grids = [(9,), (17,), (33,), (65,)] if family.dim == 1 else [(9, 9), (17, 17), (33, 33)]
+        out.mkdir(parents=True, exist_ok=True)
         result = convergence_study(family, grids, cfg)
         _atomic_write(out / "convergence.csv", lambda p: write_study_csv(p, result))
         print(f"convergence exponent {result.fitted_exponent:.4f}")

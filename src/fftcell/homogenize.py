@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .material import CoefficientField, apply_A, contract
-from .solver import LoadCase, SolveReport, SolverConfig, green_operator, solve
+from .solver import LoadCase, SolveReport, SolverConfig, System, solve
 from .transforms import GridField
 
 
@@ -45,21 +45,21 @@ def unit_loads(dim):
 
 
 def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
-    """Drive the d unit load cases, all on one Green operator, and
-    assemble the effective tensor.
+    """Drive the d unit load cases, all on one :class:`~fftcell.solver.System`,
+    and assemble the effective tensor.
 
-    The assembly streams through two ``(d, *N)`` scratch fields: per row
-    ``alpha`` it forms the total ``E^a + e~^a`` and its flux, then refills
-    the first field with each total ``E^b + e~^b`` and sums the product
-    into it.  The entries equal :func:`~fftcell.transforms.l2_inner` of
-    the flux and total fields bit for bit.
+    The system is dropped, then two ``(d, *N)`` scratch fields stream
+    the assembly: per row ``alpha`` the total ``E^a + e~^a`` and its
+    flux, then each total ``E^b + e~^b`` refills the first and the
+    product is summed into it.  The entries equal
+    :func:`~fftcell.transforms.l2_inner` of flux and total bit for bit.
     """
     d = a.spec.dim
-    green = green_operator(a, cfg)
+    system = System(a, cfg)
     reports = []
     loads = unit_loads(d)
     for load in loads:
-        report = solve(a, load, cfg, green=green)
+        report = solve(a, load, cfg, system=system)
         reports.append(report)
         if not report.converged:
             raise ConvergenceError(
@@ -67,6 +67,7 @@ def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
                 f"{report.iterations} iterations ({report.message})",
                 tuple(reports),
             )
+    del system
 
     total = np.empty((d,) + a.spec.shape)
     flux = np.empty_like(total)

@@ -5,10 +5,10 @@ One iteration loop solves the Galerkin system
     Gamma0 A e~ = -Gamma0 A E
 
 for the fluctuation e~ in the curl-free zero-mean subspace.  Each solve
-runs on one :class:`~fftcell.green.GreenOperator`, which a
-homogenization shares between its load cases, and applies the operator
-``x -> Gamma0 A x`` in place once per iteration.  The two methods are two
-step rules of the same recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
+runs on one :class:`System`, which a homogenization shares between its
+load cases, and applies the operator ``x -> Gamma0 A x`` in place once
+per iteration.  The two methods are two step rules of the same
+recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
 
 * **cg** -- conjugate gradients with Gamma0 of the reference ``C_A I``,
   which is the orthogonal curl-free projector G divided by C_A.  Every
@@ -49,7 +49,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .green import GreenOperator, ReferenceTensor, narrow_view
-from .material import CoefficientField, apply_A, contract
+from .material import CoefficientField, contract
 from .transforms import GridField, l2_norm
 
 _DIVERGENCE_WINDOW = 10  # consecutive growth steps before declaring divergence
@@ -130,9 +130,70 @@ class SolveReport:
     float64_applications: int = 0  # float64 operator applications after r_0
 
 
+class System:
+    """The operator ``Gamma0 A`` that :func:`solve` iterates on for ``a``
+    and ``cfg``; one serves every load case of a homogenization.
+
+    Its :class:`~fftcell.green.GreenOperator` is that of ``C_A I`` for CG
+    (Gamma0 ``G / C_A`` scales the output, not a copy of ``a``), of
+    ``cfg.reference`` or :func:`default_reference` for Neumann, and of
+    ``A0 = I`` without ``cfg``.  Scalar coefficients around ``lambda I``
+    with ``cfg.tol >= _SINGLE_TOL`` (about twice float32's unit roundoff),
+    a float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
+    also get a float32 ``twin``: :meth:`~fftcell.green.GreenOperator.single`
+    and ``a / lambda`` in float32.  :meth:`begin` gives a solve the real
+    ``(d, *N)`` buffer that becomes its solution (packed data adds a flux
+    buffer and the ``(*N)`` row ``contract`` needs); products run through
+    it, the float32 ones reinterpreted, until the next call.
+    """
+
+    def __init__(self, a: CoefficientField, cfg: SolverConfig | None = None):
+        self.a, self.cfg = a, cfg
+        if cfg is not None and cfg.method == "cg":
+            ref = ReferenceTensor.scalar(a.C_A, a.spec.dim)
+        else:  # Neumann's reference, or A0 = I without cfg
+            ref = (cfg.reference or default_reference(a)) if cfg else None
+        self.green = GreenOperator(a.spec, ref)
+        self.row = np.empty(a.spec.shape) if a.data.ndim > a.spec.dim else None
+        self.flux = None  # the flux buffer of the current solve
+        self._double = (self.green, a.data, None, None)
+        self.twin = None
+        lam = self.green.ref.scalar_mode  # Gamma0 of lambda I is G / lambda
+        f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
+        if cfg is not None and lam and self.row is None and cfg.tol >= _SINGLE_TOL and (
+            float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
+        ):
+            coeffs = np.empty(a.spec.shape, dtype=np.float32)
+            self.twin = (self.green.single(), np.divide(a.data, lam, out=coeffs))
+
+    def begin(self) -> np.ndarray:
+        """A fresh real ``(d, *N)`` buffer for the next solve and its products."""
+        field = np.empty((self.a.spec.dim,) + self.a.spec.shape)
+        self.flux = np.empty_like(field) if self.row is not None else field
+        self._double = (self.green, self.a.data, field, self.flux)
+        if self.twin:  # float32 values and their flux in the same view
+            self._single = self.twin + (narrow_view(field, np.float32),) * 2
+        return field
+
+    def analyze(self, values, out, single=False):
+        """The half-lattice scalars of ``Gamma0 A values`` into ``out`` (a
+        fresh array when None): float64, or float32 products of the float32
+        view of the buffer when ``single``."""
+        op, coeffs, _, flux = self._single if single else self._double
+        return op.analyze(contract(coeffs, values, out=flux, row=self.row), out)
+
+    def apply(self, s, out, single=False):
+        """``Gamma0 A synthesize(s)`` into ``out``, through the buffer."""
+        op, _, values, _ = self._single if single else self._double
+        return self.analyze(op.synthesize(s, values), out, single)
+
+
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
     """System operator ``G A u`` with the orthogonal G, Gamma0 of ``A0 = I``."""
-    return GridField(a.spec, GreenOperator(a.spec).gamma0(apply_A(a, u).values))
+    if a.spec != u.spec:
+        raise ValueError("coefficient field and grid field specs do not match")
+    system = System(a)
+    return GridField(a.spec, system.green.synthesize(system.analyze(u.values, None)))
 
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:
@@ -145,26 +206,12 @@ def default_reference(a: CoefficientField) -> ReferenceTensor:
     return ReferenceTensor.scalar(0.5 * (a.c_A + a.C_A), a.spec.dim)
 
 
-def _solver_reference(a: CoefficientField, cfg: SolverConfig) -> ReferenceTensor:
-    if cfg.method == "cg":
-        # Gamma0 of the reference C_A I is G / C_A, which applies 1/C_A to
-        # the operator output without a scaled copy of the coefficients.
-        return ReferenceTensor.scalar(a.C_A, a.spec.dim)
-    return cfg.reference if cfg.reference is not None else default_reference(a)
-
-
-def green_operator(a: CoefficientField, cfg: SolverConfig) -> GreenOperator:
-    """The Green operator that :func:`solve` iterates with for ``a`` and
-    ``cfg``; one operator serves every load case of a homogenization."""
-    return GreenOperator(a.spec, _solver_reference(a, cfg))
-
-
 def solve(
     a: CoefficientField,
     load: LoadCase,
     cfg: SolverConfig,
     record_iterates: bool = False,
-    green: GreenOperator | None = None,
+    system: System | None = None,
 ) -> SolveReport:
     """Solve the cell problem for one load case with ``cfg.method``.
 
@@ -199,13 +246,10 @@ def solve(
     :attr:`SolveReport.true_residual` is the float64 ``|r| / |r_0|`` of the
     returned solution.
 
-    Scalar coefficients around ``lambda I`` (``C_A I`` for CG) with
-    ``tol >= _SINGLE_TOL`` (about twice float32's unit roundoff), a
-    float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
-    get ``Gamma0 A p`` in float32: ``a / lambda`` and ``n`` in float32,
-    through :meth:`~fftcell.green.GreenOperator.single` and the real buffer
-    reinterpreted.  ``x``, ``r``, ``p``, ``Ap`` and every inner product
-    stay complex128.  Reliable updates keep the float64 iteration counts:
+    ``system`` is the :class:`System` of ``a`` and ``cfg``, built here when
+    not given.  With its float32 ``twin`` the loop applies ``Gamma0 A p``
+    in float32; ``x``, ``r``, ``p``, ``Ap`` and every inner product stay
+    complex128.  Reliable updates keep the float64 iteration counts:
     whenever ``|r|`` has fallen ``_RELIABLE`` below the smallest float64
     residual, the float64 residual replaces it (Clark et al., CPC 181,
     2010; van der Vorst & Ye, SISC 22, 2000).  One that has not halved
@@ -216,68 +260,40 @@ def solve(
     after ``r_0``: each step of a float64 solve and each recomputed
     residual.
 
-    ``green`` is the operator of :func:`green_operator`, built here when
-    not given.  Every iterate lies in the range of ``Gamma0``, so the loop
-    keeps ``x``, ``r``, ``p`` and ``Ap`` as the half-lattice scalars of
-    :meth:`~fftcell.green.GreenOperator.synthesize`, ``d`` times smaller
-    than the fields they stand for, and takes norms with
-    :meth:`~fftcell.green.GreenOperator.inner`.  The operator passes
-    through one real ``(d, *N)`` buffer (two and a scratch row for packed
-    coefficients); only the reported solution and recorded iterates are
-    synthesized.  No iteration allocates beyond the ``k_d = 0`` slices of
-    the inner product.
+    Every iterate lies in the range of ``Gamma0``, so the loop keeps
+    ``x``, ``r``, ``p`` and ``Ap`` as half-lattice scalars, ``d`` times
+    smaller than the fields they stand for, and synthesizes only the
+    reported solution and recorded iterates.  No iteration allocates
+    beyond the ``k_d = 0`` slices of the inner product.
     """
     spec = a.spec
-    d = spec.dim
     E = load.on(spec)
     cg = cfg.method == "cg"
-    packed = a.data.ndim > d
     E_max = float(np.max(np.abs(E))) or 1.0  # E = 0 gives rhs = 0
-    ref = _solver_reference(a, cfg)
-    if green is None:
-        green = GreenOperator(spec, ref)
-    elif green.spec != spec or not np.array_equal(green.ref.matrix, ref.matrix):
-        raise ValueError("green operator does not match the coefficients and config")
+    if system is None:
+        system = System(a, cfg)
+    elif system.a is not a or system.cfg is not cfg:
+        raise ValueError("system does not match the coefficients and config")
+    green = system.green
     units = a.C_A * E_max if cg else E_max
     mean = np.divide(E, E_max)
-    field = np.empty((d,) + spec.shape)
-    # Packed contraction cannot write into its input and needs a scratch row.
-    flux = np.empty_like(field) if packed else field
-    row = np.empty(spec.shape) if packed else None
+    field = system.begin()
     x = np.zeros(green.n.shape[1:], dtype=complex)
 
     def residual(out, start=False):
         """The float64 residual ``-Gamma0 A (E / |E|_max + x)`` into ``out``;
         at the ``start`` ``x = 0`` needs no synthesis."""
         np.add(0.0 if start else green.synthesize(x, field), mean, out=field)
-        green.analyze(contract(a.data, field, out=flux, row=row), out)
-        return np.negative(out, out=out)
+        return np.negative(system.analyze(field, out), out=out)
 
-    double = (green, a.data, field, flux)
-    products = double
-    lam = ref.scalar_mode  # Gamma0 of lambda I is G / lambda
-    f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
-    if lam and not packed and cfg.tol >= _SINGLE_TOL and (
-        float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
-    ):
-        coeffs = np.empty(spec.shape, dtype=np.float32)
-        np.divide(a.data, lam, out=coeffs)
-        values = narrow_view(field, np.float32)
-        products = (green.single(), coeffs, values, values)
-
-    def apply(p, out):
-        """``Gamma0 A p`` into ``out``, in the precision of ``products``."""
-        op, coeffs, values, fluxes = products
-        op.synthesize(p, values)
-        return op.analyze(contract(coeffs, values, out=fluxes, row=row), out)
-
+    single = system.twin is not None  # float32 products until a stall
     r = residual(np.empty_like(x), start=True)
     # The rounding floor of that residual, from the flux A E / |E|_max it
-    # leaves in ``flux``: a load that the coefficients balance to rounding
-    # (a uniform medium, a laminate loaded along its layers) has nothing
-    # above it for tol |r_0| to resolve, and x = 0 solves it.
-    flux_max = max(flux.max(), -flux.min())  # max |flux| without a copy
-    floor = _FLOOR * np.finfo(float).eps * flux_max / ref.c_bound
+    # leaves in ``system.flux``: a load that the coefficients balance to
+    # rounding (a uniform medium, a laminate loaded along its layers) has
+    # nothing above it for tol |r_0| to resolve, and x = 0 solves it.
+    flux_max = max(system.flux.max(), -system.flux.min())  # max |flux| without a copy
+    floor = _FLOOR * np.finfo(float).eps * flux_max / green.ref.c_bound
     Ap = np.empty_like(x)
     rr = rr0 = rr_true = green.inner(r, r)
     certified = True  # r is the float64 residual of x
@@ -333,14 +349,14 @@ def solve(
                 f" above the stop threshold {units * stop:.3e}",
             )
         if growth_streak >= _DIVERGENCE_WINDOW:
-            matrix = ref.matrix.tolist()
+            matrix = green.ref.matrix.tolist()
             return report(
                 i, False, f"divergent fixed-point iteration for reference tensor {matrix}"
             )
         if i == cfg.max_iter:
             return report(i, False, "max_iter exceeded")
-        apply(p, Ap)  # Gamma0 A p
-        applications += products is double
+        system.apply(p, Ap, single)  # Gamma0 A p
+        applications += not single
         if cg:
             pAp = green.inner(p, Ap)
             if pAp <= 0:
@@ -355,9 +371,7 @@ def solve(
             r -= Ap
         certified = stalled = False
         rr_new = green.inner(r, r)
-        if np.sqrt(rr_new) <= stop or (
-            products is not double and rr_new < _RELIABLE**2 * rr_true
-        ):
+        if np.sqrt(rr_new) <= stop or (single and rr_new < _RELIABLE**2 * rr_true):
             rr_new = green.inner(residual(r), r)
             certified = True
             applications += 1
@@ -365,11 +379,10 @@ def solve(
             floored = np.sqrt(rr_new) <= floor
             stalled = np.sqrt(rr_new) > stop and (floored or rr_new > rr_true / 4)
             rr_true = min(rr_true, rr_new)
-            if stalled and not floored and products is not double:
+            if stalled and not floored and single:
                 # The rest of the solve runs in float64, and CG restarts
                 # along r: the float32 directions are not to be trusted.
-                products = double
-                stalled = False
+                single = stalled = False
                 if cg:  # the Neumann step p is r itself
                     p.fill(0.0)
         history.append(units * np.sqrt(rr_new))

@@ -224,6 +224,22 @@ class TestHomogenize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("contrast", "--tol", "abc"),
+            ("contrast", "--max-iter", "1e3"),
+            ("contrast", "--grid", "a,b"),
+            ("contrast", "--grid", "8,8"),
+            ("contrast", "--grid", "9,9,9"),
+            ("convergence", "--family", "nosuch"),
+        ],
+    )
+    def test_a_bad_study_input_leaves_no_output(self, tmp_path, kind, flag, value):
+        out = tmp_path / "out"
+        assert run(["study", "--kind", kind, flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         code = run(
             ["homogenize", "--family", "sine1d", "--grid", "99",

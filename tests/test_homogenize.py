@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fftcell.homogenize import (
     write_tensor_csv,
 )
 from fftcell.material import CoefficientField, apply_A, sample_analytic
-from fftcell.solver import LoadCase, SolverConfig, solve, solve_cg
+from fftcell.solver import LoadCase, SolverConfig, System, solve, solve_cg
 from fftcell.transforms import GridField, l2_inner, l2_norm
 
 from conftest import random_spd_field
@@ -98,27 +99,42 @@ class TestEffectiveTensor:
         loads = unit_loads(3)
         assert [l.E for l in loads] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])  # float64 and float32 products
     @pytest.mark.parametrize("method", ["cg", "neumann"])
-    def test_one_green_operator_serves_every_load_case(self, method, rng, monkeypatch):
+    def test_one_system_serves_every_load_case(self, method, tol, rng, monkeypatch):
         spec = GridSpec((1.0, 1.0, 1.0), (15, 15, 15))
         a = CoefficientField.isotropic(
             spec, np.where(rng.random(spec.shape) < 0.3, 10.0, 1.0)
         )
-        cfg = SolverConfig(method=method, tol=1e-8, max_iter=2000)
-        built = []
-        init = GreenOperator.__init__
+        cfg = SolverConfig(method=method, tol=tol, max_iter=2000)
+        built, twins = [], []
+        init, single = GreenOperator.__init__, GreenOperator.single
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
+        def counting_single(self):
+            twins.append(self)
+            return single(self)
+
         monkeypatch.setattr(GreenOperator, "__init__", counting_init)
+        monkeypatch.setattr(GreenOperator, "single", counting_single)
         shared = effective_tensor(a, cfg)
         assert len(built) == 1
-        # The same homogenization with an operator built inside each solve
+        assert len(twins) == (tol >= 1e-7)  # one float32 twin per homogenization
+        # Each load case again on a system of its own: the same solution,
+        # and every report owns its solution.
+        for report, load in zip(shared.per_case_reports, unit_loads(spec.dim)):
+            alone = solve(a, load, cfg, system=System(a, cfg))
+            assert np.array_equal(report.solution.values, alone.solution.values)
+            assert report.residual_history == alone.residual_history
+        solutions = [report.solution.values for report in shared.per_case_reports]
+        assert not any(np.shares_memory(u, v) for u, v in itertools.combinations(solutions, 2))
+        # The same homogenization with a system built inside each solve
         # besides the unused shared one.
         monkeypatch.setattr(
-            fftcell.homogenize, "solve", lambda a, load, cfg, green: solve(a, load, cfg)
+            fftcell.homogenize, "solve", lambda a, load, cfg, system: solve(a, load, cfg)
         )
         built.clear()
         per_case = effective_tensor(a, cfg)

@@ -1,5 +1,5 @@
 """Metamorphic properties of ``effective_tensor`` that hold exactly at grid
-level: laminates and axis permutations."""
+level: laminates, axis permutations and Keller--Dykhne duality."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +10,8 @@ from fftcell.grid import GridSpec
 from fftcell.homogenize import effective_tensor
 from fftcell.material import CoefficientField
 from fftcell.solver import SolverConfig
+
+from conftest import random_spd_field
 
 odd = st.sampled_from([3, 5, 7, 9])
 shapes = st.integers(2, 3).flatmap(lambda d: st.tuples(*[odd] * d))
@@ -71,3 +73,39 @@ def test_permuting_the_axes_permutes_the_effective_tensor(case):
     ).matrix
     expected = base[np.ix_(perm, perm)]
     assert np.allclose(moved, expected, rtol=0, atol=1e-10 * np.max(np.abs(base)))
+
+
+@st.composite
+def planar_fields(draw):
+    """A 2-D field on an odd grid with unequal half-periods: scalars
+    log-uniform in [0.1, 10], or pointwise SPD tensors."""
+    shape = (draw(st.sampled_from([5, 9, 15, 45])), draw(st.sampled_from([7, 15, 21])))
+    half_periods = (draw(st.floats(0.3, 1.0)), draw(st.floats(1.5, 2.5)))
+    spec = GridSpec(half_periods, shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return CoefficientField.isotropic(spec, 10.0 ** rng.uniform(-1.0, 1.0, shape))
+    return random_spd_field(spec, rng)
+
+
+def rotated_inverse(a):
+    """``R a^{-1} R^T`` per point, with R the 90-degree rotation: ``1 / a``
+    for scalars and ``a / det(a)`` for a 2 x 2 tensor."""
+    if a.data.ndim == a.spec.dim:
+        return CoefficientField.isotropic(a.spec, 1.0 / a.data)
+    a11, a22, a12 = a.data
+    return CoefficientField(a.spec, a.data / (a11 * a22 - a12**2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(planar_fields())
+def test_the_dual_medium_has_the_rotated_inverse_effective_tensor(a):
+    # Keller (1964), Dykhne (1970): in 2-D, R rotates the curl-free grid
+    # fields onto the divergence-free ones, so the identity
+    # A_eff(R a^-1 R^T) = R A_eff(a)^-1 R^T holds for the discrete problem.
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cfg = SolverConfig(tol=1e-12)
+    primal = effective_tensor(a, cfg).matrix
+    dual = effective_tensor(rotated_inverse(a), cfg).matrix
+    expected = R @ np.linalg.inv(primal) @ R.T
+    assert np.max(np.abs(dual - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fftcell
+import fftcell.solver
 from fftcell.green import GreenOperator, ReferenceTensor
 
 # The per-point lattice map and per-mode Green block, which left the package.
@@ -35,3 +36,10 @@ def test_the_green_operator_has_one_kernel():
     green = GreenOperator(fftcell.GridSpec((1.0, 1.0), (3, 3)), ReferenceTensor(np.diag([2.0, 1.0])))
     assert [name for name in ("G0", "A0n", "_weight", "_norm") if hasattr(green, name)] == []
     assert "right" not in inspect.signature(GreenOperator.analyze).parameters
+
+
+def test_the_system_operator_replaces_the_green_operator_helper():
+    removed = ("green_operator", "_solver_reference")
+    assert [name for name in removed if hasattr(fftcell.solver, name)] == []
+    parameters = inspect.signature(fftcell.solver.solve).parameters
+    assert "system" in parameters and "green" not in parameters
