@@ -9,7 +9,7 @@ space), which keeps interpolation order out of the measured rates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -43,6 +43,7 @@ the half lattice by Plancherel.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,52 +141,55 @@ class System:
     ``A0 = I`` without ``cfg``.  Scalar coefficients around ``lambda I``
     with ``cfg.tol >= _SINGLE_TOL`` (about twice float32's unit roundoff),
     a float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
-    also get a float32 ``twin``: :meth:`~fftcell.green.GreenOperator.single`
-    and ``a / lambda`` in float32.  :meth:`begin` gives a solve the real
-    ``(d, *N)`` buffer that becomes its solution (packed data adds a flux
-    buffer and the ``(*N)`` row ``contract`` needs); products run through
-    it, the float32 ones reinterpreted, until the next call.
+    also get a ``twin``, the float32 system of ``a / lambda`` around
+    ``A0 = I``, which has no config.  :meth:`begin` gives a solve the real
+    ``(d, *N)`` buffer that becomes its solution and that products run
+    through, the twin's as float32 (packed data adds a flux buffer and the
+    ``(*N)`` row ``contract`` needs); each system counts its ``analyses``.
     """
 
     def __init__(self, a: CoefficientField, cfg: SolverConfig | None = None):
-        self.a, self.cfg = a, cfg
+        self.a, self.cfg, self.coeffs = a, cfg, a.data
         if cfg is not None and cfg.method == "cg":
             ref = ReferenceTensor.scalar(a.C_A, a.spec.dim)
         else:  # Neumann's reference, or A0 = I without cfg
             ref = (cfg.reference or default_reference(a)) if cfg else None
         self.green = GreenOperator(a.spec, ref)
         self.row = np.empty(a.spec.shape) if a.data.ndim > a.spec.dim else None
-        self.flux = None  # the flux buffer of the current solve
-        self._double = (self.green, a.data, None, None)
+        self.values = self.flux = None  # the buffers of the current solve
+        self.analyses = 0
         self.twin = None
         lam = self.green.ref.scalar_mode  # Gamma0 of lambda I is G / lambda
         f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
         if cfg is not None and lam and self.row is None and cfg.tol >= _SINGLE_TOL and (
             float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
         ):
-            coeffs = np.empty(a.spec.shape, dtype=np.float32)
-            self.twin = (self.green.single(), np.divide(a.data, lam, out=coeffs))
+            # Before single()'s direction: the other heap order added 2 MB of RSS at 49^3.
+            coeffs = np.empty(a.spec.shape, np.float32)
+            self.twin = twin = copy.copy(self)
+            twin.cfg = None  # the system of a / lambda around A0 = I
+            twin.green = self.green.single()
+            twin.coeffs = np.divide(a.data, lam, out=coeffs)
 
     def begin(self) -> np.ndarray:
-        """A fresh real ``(d, *N)`` buffer for the next solve and its products."""
-        field = np.empty((self.a.spec.dim,) + self.a.spec.shape)
-        self.flux = np.empty_like(field) if self.row is not None else field
-        self._double = (self.green, self.a.data, field, self.flux)
+        """A fresh real ``(d, *N)`` buffer for the next solve, whose counts restart."""
+        self.values = np.empty((self.a.spec.dim,) + self.a.spec.shape)
+        self.flux = np.empty_like(self.values) if self.row is not None else self.values
+        self.analyses = 0
         if self.twin:  # float32 values and their flux in the same view
-            self._single = self.twin + (narrow_view(field, np.float32),) * 2
-        return field
+            self.twin.values = self.twin.flux = narrow_view(self.values, np.float32)
+            self.twin.analyses = 0
+        return self.values
 
-    def analyze(self, values, out, single=False):
+    def analyze(self, values, out):
         """The half-lattice scalars of ``Gamma0 A values`` into ``out`` (a
-        fresh array when None): float64, or float32 products of the float32
-        view of the buffer when ``single``."""
-        op, coeffs, _, flux = self._single if single else self._double
-        return op.analyze(contract(coeffs, values, out=flux, row=self.row), out)
+        fresh array when None)."""
+        self.analyses += 1
+        return self.green.analyze(contract(self.coeffs, values, out=self.flux, row=self.row), out)
 
-    def apply(self, s, out, single=False):
+    def apply(self, s, out):
         """``Gamma0 A synthesize(s)`` into ``out``, through the buffer."""
-        op, _, values, _ = self._single if single else self._double
-        return self.analyze(op.synthesize(s, values), out, single)
+        return self.analyze(self.green.synthesize(s, self.values), out)
 
 
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
@@ -256,9 +260,7 @@ def solve(
     that smallest residual switches the rest of the solve to float64
     products, CG restarting along ``r``.  Every other solve runs in
     float64 throughout, with the iterates of the plain recurrence.
-    ``float64_applications`` counts the float64 operator applications
-    after ``r_0``: each step of a float64 solve and each recomputed
-    residual.
+    ``float64_applications`` is the system's count of analyses after ``r_0``.
 
     Every iterate lies in the range of ``Gamma0``, so the loop keeps
     ``x``, ``r``, ``p`` and ``Ap`` as half-lattice scalars, ``d`` times
@@ -286,7 +288,7 @@ def solve(
         np.add(0.0 if start else green.synthesize(x, field), mean, out=field)
         return np.negative(system.analyze(field, out), out=out)
 
-    single = system.twin is not None  # float32 products until a stall
+    op = system.twin or system  # float32 products until a stall
     r = residual(np.empty_like(x), start=True)
     # The rounding floor of that residual, from the flux A E / |E|_max it
     # leaves in ``system.flux``: a load that the coefficients balance to
@@ -297,7 +299,6 @@ def solve(
     Ap = np.empty_like(x)
     rr = rr0 = rr_true = green.inner(r, r)
     certified = True  # r is the float64 residual of x
-    applications = 0
     stop = cfg.tol * np.sqrt(rr)
     history = [units * np.sqrt(rr)]
 
@@ -309,12 +310,10 @@ def solve(
     iterates = [GridField(spec, synthesized())] if record_iterates else []
 
     def report(iterations, converged, message=""):
-        nonlocal applications
         if certified:
             rr_x = rr
         elif np.isfinite(rr):
             rr_x = green.inner(residual(Ap), Ap)
-            applications += 1
         else:
             rr_x = np.nan
         solution = synthesized(field)
@@ -329,7 +328,7 @@ def solve(
             GridField(spec, solution), iterations, tuple(history), converged,
             cfg.method, message=message, iterates=tuple(iterates),
             true_residual=float(np.sqrt(rr_x / rr0)) if rr0 > 0 else 0.0,
-            float64_applications=applications,
+            float64_applications=system.analyses - 1,  # after r_0
         )
 
     if np.sqrt(rr) <= floor:
@@ -355,8 +354,7 @@ def solve(
             )
         if i == cfg.max_iter:
             return report(i, False, "max_iter exceeded")
-        system.apply(p, Ap, single)  # Gamma0 A p
-        applications += not single
+        op.apply(p, Ap)  # Gamma0 A p
         if cg:
             pAp = green.inner(p, Ap)
             if pAp <= 0:
@@ -371,18 +369,17 @@ def solve(
             r -= Ap
         certified = stalled = False
         rr_new = green.inner(r, r)
-        if np.sqrt(rr_new) <= stop or (single and rr_new < _RELIABLE**2 * rr_true):
+        if np.sqrt(rr_new) <= stop or (op is not system and rr_new < _RELIABLE**2 * rr_true):
             rr_new = green.inner(residual(r), r)
             certified = True
-            applications += 1
             # Stalled: above the stop, at the floor or not below half the best.
             floored = np.sqrt(rr_new) <= floor
             stalled = np.sqrt(rr_new) > stop and (floored or rr_new > rr_true / 4)
             rr_true = min(rr_true, rr_new)
-            if stalled and not floored and single:
+            if stalled and not floored and op is not system:
                 # The rest of the solve runs in float64, and CG restarts
                 # along r: the float32 directions are not to be trusted.
-                single = stalled = False
+                op, stalled = system, False
                 if cg:  # the Neumann step p is r itself
                     p.fill(0.0)
         history.append(units * np.sqrt(rr_new))

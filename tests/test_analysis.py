@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fftcell.analysis
 from fftcell.analysis import (
     DENSE_ORACLE_LIMIT,
     StudyResult,
@@ -133,6 +135,18 @@ class TestConvergenceStudy:
         assert neumann.axis == cg.axis
         # Each solution is within rho_A tol = 5 tol of the exact discrete one.
         assert neumann.values == pytest.approx(cg.values, rel=0, abs=10 * tol)
+
+    def test_an_unconverged_study_grid_raises_naming_it(self, monkeypatch):
+        inner = fftcell.analysis.solve
+
+        def failing_on_17(a, load, cfg):
+            report = inner(a, load, cfg)
+            return dataclasses.replace(report, converged=False) if a.spec.shape == (17,) else report
+
+        monkeypatch.setattr(fftcell.analysis, "solve", failing_on_17)
+        cfg = SolverConfig(tol=1e-10, max_iter=2000)
+        with pytest.raises(RuntimeError, match=r"study solve on \(17,\) did not converge"):
+            convergence_study(sine_1d(), [(9,), (17,)], cfg)
 
     def test_an_unconverged_reference_raises(self):
         cfg = SolverConfig(tol=1e-12, max_iter=1)

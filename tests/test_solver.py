@@ -10,7 +10,7 @@ from fftcell.analysis import dense_oracle
 from fftcell.families import checkerboard_2d, sine_1d
 from fftcell.green import GreenOperator, ReferenceTensor
 from fftcell.grid import GridSpec
-from fftcell.homogenize import effective_tensor
+from fftcell.homogenize import ConvergenceError, effective_tensor
 from fftcell.material import CoefficientField, MaterialDataError, contract, sample_analytic
 from fftcell.solver import (
     LoadCase,
@@ -104,6 +104,12 @@ class TestConfigTypes:
 
 
 class TestApplySystem:
+    def test_rejects_a_field_on_another_grid(self, rng):
+        a = random_spd_field(GridSpec((1.0, 1.0), (5, 5)), rng)
+        u = random_gradient_field(GridSpec((1.0, 1.0), (7, 7)), rng)
+        with pytest.raises(ValueError, match="specs do not match"):
+            apply_system(a, u)
+
     def test_scales_curl_free_fields_under_uniform_coefficient(self, rng):
         spec = GridSpec((1.0, 1.0), (5, 5))
         a = sample_analytic(lambda x: 3.0, spec)
@@ -131,6 +137,23 @@ class TestApplySystem:
 
 
 class TestConjugateGradients:
+    def test_an_indefinite_operator_stops_the_solve(self, monkeypatch):
+        # A negated product gives pAp < 0 at the first step.
+        a, load = sine_problem(n=99)
+        apply = System.apply
+        monkeypatch.setattr(
+            System, "apply", lambda self, s, out: np.negative(apply(self, s, out), out=out)
+        )
+        cfg = SolverConfig()
+        report = solve(a, load, cfg)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.message.startswith("operator lost positive definiteness")
+        assert report.true_residual == 1.0
+        assert report.float64_applications == 0
+        with pytest.raises(ConvergenceError, match="operator lost positive definiteness"):
+            effective_tensor(a, cfg)
+
     def test_uniform_coefficient_needs_no_iterations(self):
         spec = GridSpec((1.0, 1.0), (9, 9))
         a = sample_analytic(lambda x: 5.0, spec)
@@ -438,6 +461,9 @@ class TestOneLoop:
         for system in (System(a, neumann), System(a), System(a, SolverConfig()), System(twin, cg)):
             with pytest.raises(ValueError, match="system does not match"):
                 solve(a, load, cg, system=system)
+        # Nor is the float32 twin, which shares ``a`` but not the reference.
+        with pytest.raises(ValueError, match="system does not match"):
+            solve(a, load, cg, system=System(a, cg).twin)
 
     @pytest.mark.parametrize("method", ["cg", "neumann"])
     def test_zero_load_is_solved_by_zero_whatever_the_warm_start(self, method):
@@ -790,6 +816,16 @@ class TestFloat32Products:
         assert (report.float64_applications < 4) == single
         if not single:
             assert report.float64_applications == 4
+
+    def test_each_system_counts_its_own_products(self, rng):
+        spec = GridSpec((1.0, 1.0), (9, 9))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        cfg = SolverConfig(tol=1e-6, max_iter=3)
+        system = System(a, cfg)
+        for _ in range(2):  # each solve restarts both counts
+            report = solve(a, LoadCase((1.0, 0.0)), cfg, system=system)
+            assert report.iterations == system.twin.analyses == 3
+            assert report.float64_applications == system.analyses - 1
 
     def test_a_over_lambda_beyond_float32_runs_in_float64(self, rng):
         # Around lambda = 1e-100, C_A / lambda overflows float32.  Gamma0 A

@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark imports from it."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import fftcell
 import fftcell.solver
 from fftcell.green import GreenOperator, ReferenceTensor
+from fftcell.solver import SolverConfig, System
 
 # The per-point lattice map and per-mode Green block, which left the package.
 REMOVED = ["in_lattice", "grid_point", "frequency", "underlined_frequency", "slot_to_index",
@@ -43,3 +45,34 @@ def test_the_system_operator_replaces_the_green_operator_helper():
     assert [name for name in removed if hasattr(fftcell.solver, name)] == []
     parameters = inspect.signature(fftcell.solver.solve).parameters
     assert "system" in parameters and "green" not in parameters
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(Path(fftcell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read.update(fftcell.__all__)
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []
+
+
+@pytest.mark.parametrize("method", ["cg", "neumann"])
+def test_a_precision_is_a_system(method):
+    for name in ("analyze", "apply"):
+        assert "single" not in inspect.signature(getattr(System, name)).parameters
+    spec = fftcell.GridSpec((1.0, 1.0), (9, 9))
+    a = fftcell.CoefficientField.isotropic(spec, np.linspace(1.0, 10.0, spec.total).reshape(spec.shape))
+    system = System(a, SolverConfig(method=method))
+    assert [name for name in ("_double", "_single") if hasattr(system, name)] == []
+    assert isinstance(system.twin, System)
+    # Below float32's reach there is no twin.
+    assert System(a, SolverConfig(method=method, tol=1e-8)).twin is None
