@@ -16,7 +16,7 @@ import numpy as np
 from .grid import GridSpec, index_grid, underlined_frequency_grid
 from .material import CoefficientField
 from .homogenize import unit_loads
-from .solver import LoadCase, SolverConfig, System, solve
+from .solver import LoadCase, SolverConfig, System, apply_system, solve
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -197,7 +197,7 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
         return M
 
     G = columns(system.green.gamma0)
-    M_sys = columns(lambda v: system.green.synthesize(system.analyze(v, None)))
+    M_sys = columns(lambda v: apply_system(a, GridField(spec, v)).values)
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)
     B = U[:, s > 0.5]

@@ -78,24 +78,25 @@ class ReferenceTensor:
 class GreenOperator:
     """Green operator of one (grid, reference) pair on the half spectrum.
 
-    Built once per homogenization: stores ``n`` and ``gamma_scale`` on the
-    ``rfftn`` half lattice and one complex half-spectrum workspace.  The
-    range of ``Gamma0`` is the set of fields ``irfftn(n s)``, one complex
-    scalar ``s(k)`` per half-lattice mode, and :meth:`gamma0` is applied in
-    two halves that the solvers also call on their own:
+    Built once per homogenization and only read afterwards: stores ``n``
+    and ``gamma_scale`` on the ``rfftn`` half lattice.  The range of
+    ``Gamma0`` is the set of fields ``irfftn(n s)``, one complex scalar
+    ``s(k)`` per half-lattice mode, and :meth:`gamma0` is applied in two
+    halves that the solvers also call on their own, each in a complex half
+    ``spectrum`` of the caller's (a fresh one when None):
 
     * :meth:`analyze` runs numpy's per-axis passes of ``rfftn`` in place in
-      the workspace and takes ``s = gamma_scale (n . v_hat)``;
-    * :meth:`synthesize` forms ``n s`` in the workspace and runs the passes
+      the spectrum and takes ``s = gamma_scale (n . v_hat)``, the dot
+      product accumulated in the spectrum's first row;
+    * :meth:`synthesize` forms ``n s`` in the spectrum and runs the passes
       of ``irfftn`` into a real ``(d, *N)`` field.
 
     Their composition equals ``irfftn(n (gamma_scale (n . rfftn(v))))``,
-    both ``norm="ortho"``, bit for bit without allocating.  :meth:`inner`
-    is the mean inner product of two synthesized fields, computed on the
-    scalars.  A tensor reference adds only the real per-mode
-    ``gamma_scale`` to what a scalar one keeps.
-    The workspace makes an operator unsafe to share between threads.
-    ``ref=None`` means ``A0 = I``.
+    both ``norm="ortho"``, bit for bit.  :meth:`inner` is the mean inner
+    product of two synthesized fields, computed on the scalars.  A tensor
+    reference adds only the real per-mode ``gamma_scale`` to what a scalar
+    one keeps.  Solves that pass spectra of their own share an operator
+    across threads.  ``ref=None`` means ``A0 = I``.
     """
 
     def __init__(self, spec: GridSpec, ref: ReferenceTensor | None = None):
@@ -116,8 +117,6 @@ class GreenOperator:
             scale = np.einsum("a...,ab,b...->...", self.n, ref.matrix, self.n)
             scale.flat[0] = np.inf  # gamma_scale(0) = 0
             self.gamma_scale = np.reciprocal(scale, out=scale)
-        self._spectrum = np.empty(self.n.shape, dtype=complex)
-        self._dots = np.empty(self.n.shape[1:], dtype=complex)
 
     def single(self) -> GreenOperator:
         """The float32 twin of the operator of ``A0 = I``, the orthogonal
@@ -125,13 +124,12 @@ class GreenOperator:
         ``G / lambda``, so a caller folds ``1/lambda`` into its float32
         coefficients.
 
-        The twin keeps ``n`` as float32 and runs its passes in this
-        operator's workspace, reinterpreted as complex64, so it adds a
-        quarter of a ``(d, *N)`` float64 field.  Given float32 fields and
-        complex128 scalars, :meth:`synthesize` and :meth:`analyze` run the
-        FFT passes in single precision.  :meth:`analyze` accumulates
-        ``n . v_hat`` in its complex64 ``_dots`` too; only the final
-        multiply widens the scalars to complex128.
+        The twin keeps ``n`` as float32, a quarter of a ``(d, *N)`` float64
+        field.  Given float32 fields, complex128 scalars and a complex64
+        spectrum, :meth:`synthesize` and :meth:`analyze` run the FFT passes
+        in single precision, and :meth:`analyze` accumulates ``n . v_hat``
+        in complex64 too; only the final multiply widens the scalars to
+        complex128.
         """
         if not self.ref.scalar_mode:
             raise ValueError("a float32 twin needs a scalar reference")
@@ -139,27 +137,29 @@ class GreenOperator:
         twin.ref = ReferenceTensor.scalar(1.0, self.spec.dim)
         twin.gamma_scale = 1.0
         twin.n = self.n.astype(np.float32)
-        twin._spectrum = narrow_view(self._spectrum, np.complex64)
-        twin._dots = narrow_view(self._dots, np.complex64)
         return twin
 
-    def analyze(self, values, out=None):
+    def scratch(self) -> np.ndarray:
+        """A fresh complex half spectrum in the precision of ``n``."""
+        return np.empty(self.n.shape, np.result_type(self.n, np.complex64))
+
+    def analyze(self, values, out=None, spectrum=None):
         """The half-lattice scalars ``gamma_scale (n . rfftn(values))`` of
         ``Gamma0 values``, into ``out`` (a fresh array when None)."""
-        spectrum = self._spectrum
+        spectrum = self.scratch() if spectrum is None else spectrum
         d = self.spec.dim
         np.fft.rfft(values, axis=d, out=spectrum, norm="ortho")
         for axis in range(d - 1, 0, -1):
             np.fft.fft(spectrum, axis=axis, out=spectrum, norm="ortho")
-        dots = np.einsum("a...,a...->...", self.n, spectrum, out=self._dots)
-        if out is None:
-            out = np.empty(dots.shape, dtype=complex)
-        return np.multiply(dots, self.gamma_scale, out=out)
+        dots = np.multiply(self.n, spectrum, out=spectrum)[0]
+        for row in spectrum[1:]:
+            dots += row
+        return np.multiply(dots, self.gamma_scale, out=out, dtype=complex)
 
-    def synthesize(self, s, out=None):
+    def synthesize(self, s, out=None, spectrum=None):
         """The real field ``irfftn(n s)`` into ``out`` (a fresh ``(d, *N)``
         array when None)."""
-        spectrum = self._spectrum
+        spectrum = self.scratch() if spectrum is None else spectrum
         np.multiply(self.n, s, out=spectrum)
         for axis in range(1, self.spec.dim):
             np.fft.ifft(spectrum, axis=axis, out=spectrum, norm="ortho")
@@ -184,7 +184,7 @@ class GreenOperator:
     def gamma0(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``Gamma0 v = n gamma_scale (n . v_hat)`` on a ``(d, *N)`` array;
         ``out`` may be ``values``."""
-        return self.synthesize(self.analyze(values, self._dots), out)
+        return self.synthesize(self.analyze(values), out)
 
 
 def narrow_view(array: np.ndarray, dtype) -> np.ndarray:

@@ -18,11 +18,6 @@ recurrence ``x += alpha p; r -= alpha Gamma0 A p``:
   ``Gamma0 A0 e~ = e~`` on the subspace, it is Richardson's unit step
   ``x += r; r -= Gamma0 A r`` (``alpha = 1``, ``p = r``) with Gamma0 of A0.
 
-Every vector of the recurrence lies in the range of Gamma0, the fields
-``irfftn(n s)`` with one complex scalar ``s(k)`` per half-lattice mode,
-so the loop runs on those scalars and synthesizes real fields only to
-apply A and to report.
-
 Both methods stop at ``|r| <= tol |r_0|``.  Scalar coefficients ``a``
 around a scalar reference ``lambda I`` with ``tol >= 1e-7`` and
 ``a / lambda`` in float32's normal range get float32 operator products
@@ -142,10 +137,9 @@ class System:
     with ``cfg.tol >= _SINGLE_TOL`` (about twice float32's unit roundoff),
     a float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
     also get a ``twin``, the float32 system of ``a / lambda`` around
-    ``A0 = I``, which has no config.  :meth:`begin` gives a solve the real
-    ``(d, *N)`` buffer that becomes its solution and that products run
-    through, the twin's as float32 (packed data adds a flux buffer and the
-    ``(*N)`` row ``contract`` needs); each system counts its ``analyses``.
+    ``A0 = I``, which has no config.  A system is only read: :meth:`begin`
+    binds a copy of it to one solve's scratch, so one system serves
+    concurrent solves.
     """
 
     def __init__(self, a: CoefficientField, cfg: SolverConfig | None = None):
@@ -155,13 +149,10 @@ class System:
         else:  # Neumann's reference, or A0 = I without cfg
             ref = (cfg.reference or default_reference(a)) if cfg else None
         self.green = GreenOperator(a.spec, ref)
-        self.row = np.empty(a.spec.shape) if a.data.ndim > a.spec.dim else None
-        self.values = self.flux = None  # the buffers of the current solve
-        self.analyses = 0
         self.twin = None
         lam = self.green.ref.scalar_mode  # Gamma0 of lambda I is G / lambda
         f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
-        if cfg is not None and lam and self.row is None and cfg.tol >= _SINGLE_TOL and (
+        if cfg is not None and lam and a.data.ndim == a.spec.dim and cfg.tol >= _SINGLE_TOL and (
             float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
         ):
             # Before single()'s direction: the other heap order added 2 MB of RSS at 49^3.
@@ -171,33 +162,41 @@ class System:
             twin.green = self.green.single()
             twin.coeffs = np.divide(a.data, lam, out=coeffs)
 
-    def begin(self) -> np.ndarray:
-        """A fresh real ``(d, *N)`` buffer for the next solve, whose counts restart."""
-        self.values = np.empty((self.a.spec.dim,) + self.a.spec.shape)
-        self.flux = np.empty_like(self.values) if self.row is not None else self.values
-        self.analyses = 0
-        if self.twin:  # float32 values and their flux in the same view
-            self.twin.values = self.twin.flux = narrow_view(self.values, np.float32)
-            self.twin.analyses = 0
-        return self.values
+    def begin(self, spectrum=None, values=None) -> System:
+        """A copy bound to one solve's scratch, fresh when None: the complex
+        half ``spectrum``, the real ``(d, *N)`` ``values`` that become the
+        solution (packed data adds a ``flux`` and ``contract``'s ``row``)
+        and a count of ``analyses``; the twin's copy runs in their views."""
+        spec, work = self.a.spec, copy.copy(self)
+        work.spectrum = self.green.scratch() if spectrum is None else spectrum
+        work.values = work.flux = np.empty((spec.dim,) + spec.shape) if values is None else values
+        work.row, work.analyses = None, 0
+        if self.coeffs.ndim > spec.dim:
+            work.flux, work.row = np.empty_like(work.values), np.empty(spec.shape)
+        if self.twin:
+            narrow = narrow_view(work.spectrum, np.complex64), narrow_view(work.values, np.float32)
+            work.twin = self.twin.begin(*narrow)
+        return work
 
     def analyze(self, values, out):
         """The half-lattice scalars of ``Gamma0 A values`` into ``out`` (a
         fresh array when None)."""
         self.analyses += 1
-        return self.green.analyze(contract(self.coeffs, values, out=self.flux, row=self.row), out)
+        flux = contract(self.coeffs, values, out=self.flux, row=self.row)
+        return self.green.analyze(flux, out, self.spectrum)
 
     def apply(self, s, out):
         """``Gamma0 A synthesize(s)`` into ``out``, through the buffer."""
-        return self.analyze(self.green.synthesize(s, self.values), out)
+        return self.analyze(self.green.synthesize(s, self.values, self.spectrum), out)
 
 
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
     """System operator ``G A u`` with the orthogonal G, Gamma0 of ``A0 = I``."""
     if a.spec != u.spec:
         raise ValueError("coefficient field and grid field specs do not match")
-    system = System(a)
-    return GridField(a.spec, system.green.synthesize(system.analyze(u.values, None)))
+    system = System(a).begin()
+    s = system.analyze(u.values, None)
+    return GridField(a.spec, system.green.synthesize(s, None, system.spectrum))
 
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:
@@ -251,16 +250,16 @@ def solve(
     returned solution.
 
     ``system`` is the :class:`System` of ``a`` and ``cfg``, built here when
-    not given.  With its float32 ``twin`` the loop applies ``Gamma0 A p``
-    in float32; ``x``, ``r``, ``p``, ``Ap`` and every inner product stay
-    complex128.  Reliable updates keep the float64 iteration counts:
-    whenever ``|r|`` has fallen ``_RELIABLE`` below the smallest float64
-    residual, the float64 residual replaces it (Clark et al., CPC 181,
-    2010; van der Vorst & Ye, SISC 22, 2000).  One that has not halved
+    not given, and only read.  With its float32 ``twin`` the loop applies
+    ``Gamma0 A p`` in float32; ``x``, ``r``, ``p``, ``Ap`` and every inner
+    product stay complex128.  Reliable updates keep the float64 iteration
+    counts: whenever ``|r|`` has fallen ``_RELIABLE`` below the smallest
+    float64 residual, the float64 residual replaces it (Clark et al., CPC
+    181, 2010; van der Vorst & Ye, SISC 22, 2000).  One that has not halved
     that smallest residual switches the rest of the solve to float64
     products, CG restarting along ``r``.  Every other solve runs in
     float64 throughout, with the iterates of the plain recurrence.
-    ``float64_applications`` is the system's count of analyses after ``r_0``.
+    ``float64_applications`` counts the float64 analyses after ``r_0``.
 
     Every iterate lies in the range of ``Gamma0``, so the loop keeps
     ``x``, ``r``, ``p`` and ``Ap`` as half-lattice scalars, ``d`` times
@@ -276,16 +275,17 @@ def solve(
         system = System(a, cfg)
     elif system.a is not a or system.cfg is not cfg:
         raise ValueError("system does not match the coefficients and config")
-    green = system.green
+    # Before begin()'s buffers: the other heap order slowed the next 243^2 set-up by 18 %.
+    x = np.zeros(system.green.n.shape[1:], dtype=complex)
+    system = system.begin()  # this solve's scratch
+    green, field = system.green, system.values
     units = a.C_A * E_max if cg else E_max
     mean = np.divide(E, E_max)
-    field = system.begin()
-    x = np.zeros(green.n.shape[1:], dtype=complex)
 
     def residual(out, start=False):
         """The float64 residual ``-Gamma0 A (E / |E|_max + x)`` into ``out``;
         at the ``start`` ``x = 0`` needs no synthesis."""
-        np.add(0.0 if start else green.synthesize(x, field), mean, out=field)
+        np.add(0.0 if start else green.synthesize(x, field, system.spectrum), mean, out=field)
         return np.negative(system.analyze(field, out), out=out)
 
     op = system.twin or system  # float32 products until a stall
@@ -303,7 +303,7 @@ def solve(
     history = [units * np.sqrt(rr)]
 
     def synthesized(out=None):
-        solution = green.synthesize(x, out)
+        solution = green.synthesize(x, out, system.spectrum)
         solution *= E_max
         return solution
 

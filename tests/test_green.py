@@ -12,6 +12,8 @@ from fftcell.green import (
     project_mean,
 )
 from fftcell.grid import GridSpec, frequency_grid
+from fftcell.material import CoefficientField
+from fftcell.solver import SolverConfig, System
 from fftcell.transforms import GridField, dft_forward, dft_inverse, l2_inner, truncate
 
 from conftest import (
@@ -394,20 +396,36 @@ class TestSingleTwin:
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_its_dots_accumulate_in_complex64(self, spec, rng):
         twin = GreenOperator(spec).single()
-        s = twin.analyze(random_field(spec, rng).values.astype(np.float32))
-        assert twin._dots.dtype == np.complex64
-        # The same spectrum, its dot product accumulated in complex128.
-        wide = np.einsum("a...,a...->...", twin.n.astype(float), twin._spectrum.astype(complex))
+        u = random_field(spec, rng).values.astype(np.float32)
+        spectrum = twin.scratch()
+        assert spectrum.dtype == np.complex64
+        s = twin.analyze(u, spectrum=spectrum)
+        # The dot product is accumulated in the complex64 spectrum's first
+        # row; only the unit scale widens it.
+        assert np.array_equal(s, spectrum[0].astype(complex))
+        # Against the spectrum and its dot product in complex128.
+        axes = tuple(range(1, spec.dim + 1))
+        v_hat = np.fft.rfftn(u.astype(float), axes=axes, norm="ortho")
+        wide = np.einsum("a...,a...->...", twin.n.astype(float), v_hat)
         assert np.max(np.abs(s - wide)) <= 1e-6 * np.max(np.abs(wide))
 
-    def test_it_shares_the_workspace(self):
-        green = GreenOperator(self.SPECS[1], ReferenceTensor.scalar(2.0, 3))
-        twin = green.single()
-        assert np.shares_memory(twin._spectrum, green._spectrum)
-        assert np.shares_memory(twin._dots, green._dots)
-        assert twin._spectrum.dtype == np.complex64
-        assert twin.gamma_scale == 1.0 and twin.ref.scalar_mode == 1.0
-        assert green.gamma_scale == 0.5
+    def test_it_runs_in_views_of_the_solve_buffers(self, rng):
+        spec = self.SPECS[1]
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        work = System(a, SolverConfig(method="neumann")).begin()
+        twin = work.twin
+        assert twin.green.gamma_scale == 1.0 and twin.green.ref.scalar_mode == 1.0
+        assert work.green.gamma_scale == 1.0 / work.green.ref.scalar_mode != 1.0
+        for narrow, wide, dtype in [(twin.spectrum, work.spectrum, np.complex64),
+                                    (twin.values, work.values, np.float32)]:
+            assert narrow.dtype == dtype and narrow.base is not None
+            assert np.shares_memory(narrow, wide)
+        assert twin.flux is twin.values and twin.row is None
+        # One float32 application leaves its flux and its dot product there.
+        s = work.analyze(random_field(spec, rng).values, None)
+        out = twin.apply(s, np.empty_like(s))
+        assert np.array_equal(twin.values, twin.coeffs * twin.green.synthesize(s))
+        assert np.array_equal(out, twin.spectrum[0].astype(complex))
 
     def test_a_tensor_reference_has_no_twin(self, rng):
         green = GreenOperator(self.SPECS[1], random_spd_reference(3, rng))
@@ -417,12 +435,13 @@ class TestSingleTwin:
 
 class TestMemory:
     """What a tensor-reference operator keeps, in units of one ``(d, *N)``
-    float64 field: ``n`` (1/2), the complex workspace (1), the complex dot
-    scratch (1/d) and the per-mode scale (1/(2d)), 2.04 fields in 3-D."""
+    float64 field: ``n`` (1/2) and the per-mode scale (1/(2d)), 0.68
+    fields in 3-D.  The complex half spectrum is a solve's scratch."""
 
     def test_construction_peaks_at_what_it_keeps_at_49_cubed(self):
-        # n, the workspace and the dot scratch: 1.87 fields.  The direction
-        # is built on the half lattice, without a full-lattice transient.
+        # n and the transient |xi|^2 (1/(2d)): 0.68 fields, 0.73 in a fresh
+        # process.  The direction is built on the half lattice, without a
+        # full-lattice transient.
         spec = GridSpec((1.0, 1.0, 1.0), (49, 49, 49))
         field = spec.dim * spec.total * 8
         tracemalloc.start()
@@ -432,7 +451,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * field
+        assert peak <= 0.75 * field
         assert green.n.shape == (3, 49, 49, 25)
 
     def test_tensor_reference_operator_at_49_cubed(self):
@@ -446,7 +465,7 @@ class TestMemory:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert kept <= 2.15 * field
+        assert kept <= 0.75 * field
         assert green.gamma_scale.shape == green.n.shape[1:]
 
 
@@ -506,13 +525,34 @@ class TestInPlaceApplication:
             assert np.array_equal(apply_G0(u, ref).values, expected)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_the_dot_product_equals_einsum_bit_for_bit(self, spec, rng):
+        # The d multiply-adds of analyze against einsum on the same
+        # spectrum, in float64 and in the float32 twin.  Equal as numbers:
+        # einsum sums from +0, so where every product is a zero (the mean
+        # mode, n = 0) its sign may differ.
+        green = GreenOperator(spec, ReferenceTensor.scalar(2.5, spec.dim))
+        u = random_field(spec, rng).values
+        for op, values in [(green, u), (green.single(), u.astype(np.float32))]:
+            spectrum = op.scratch()
+            np.fft.rfft(values, axis=spec.dim, out=spectrum, norm="ortho")
+            for axis in range(spec.dim - 1, 0, -1):
+                np.fft.fft(spectrum, axis=axis, out=spectrum, norm="ortho")
+            dots = np.einsum("a...,a...->...", op.n, spectrum)
+            expected = np.multiply(dots, op.gamma_scale, out=np.empty(dots.shape, complex))
+            assert np.array_equal(op.analyze(values).view(float), expected.view(float))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_results_without_out_are_fresh_arrays(self, spec, rng):
         green = GreenOperator(spec, ReferenceTensor.scalar(2.5, spec.dim))
         first = green.gamma0(random_field(spec, rng).values)
         kept = first.copy()
         second = green.gamma0(random_field(spec, rng).values)
         assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, green._spectrum)
+        # Nor do the results through a caller's spectrum share it.
+        spectrum = green.scratch()
+        s = green.analyze(random_field(spec, rng).values, spectrum=spectrum)
+        third = green.synthesize(s, spectrum=spectrum)
+        assert not any(np.shares_memory(x, spectrum) for x in (s, third, first))
         assert np.array_equal(first, kept)
 
 

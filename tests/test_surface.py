@@ -40,6 +40,19 @@ def test_the_green_operator_has_one_kernel():
     assert "right" not in inspect.signature(GreenOperator.analyze).parameters
 
 
+@pytest.mark.parametrize("method", ["cg", "neumann"])
+def test_the_operator_keeps_only_read_only_data(method):
+    # One solve's scratch lives in the copy that System.begin hands it.
+    spec = fftcell.GridSpec((1.0, 1.0), (9, 9))
+    a = fftcell.CoefficientField.isotropic(spec, np.linspace(1.0, 10.0, spec.total).reshape(spec.shape))
+    system = System(a, SolverConfig(method=method))
+    for green in (system.green, system.twin.green):
+        assert [name for name in ("_spectrum", "_dots") if hasattr(green, name)] == []
+        assert sorted(vars(green)) == ["gamma_scale", "n", "ref", "spec"]
+    for operator in (system, system.twin):
+        assert sorted(vars(operator)) == ["a", "cfg", "coeffs", "green", "twin"]
+
+
 def test_the_system_operator_replaces_the_green_operator_helper():
     removed = ("green_operator", "_solver_reference")
     assert [name for name in removed if hasattr(fftcell.solver, name)] == []
