@@ -8,15 +8,15 @@ space), which keeps interpolation order out of the measured rates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, index_grid, underlined_frequency_grid
-from .material import CoefficientField
+from .green import GreenOperator
+from .material import CoefficientField, contract, write_csv
 from .homogenize import unit_loads
-from .solver import LoadCase, SolverConfig, System, apply_system, solve
+from .solver import LoadCase, SolverConfig, solve
 from .transforms import GridField, SpectralField, dft_forward
 
 # R^2 penalty above which the first (pre-asymptotic) axis point is dropped.
@@ -176,16 +176,17 @@ def contrast_study(make_family, contrasts, shape, tol=1e-6, max_iter=100000):
 def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
     """Direct dense solve of the projected system on an explicit basis.
 
-    Assembles the system operator column by column (unit vectors through
-    the matrix-free operator), restricts to the curl-free zero-mean
-    subspace via an orthonormal basis extracted from the projector, and
-    solves by direct factorization.  Guarded to small grids.
+    Assembles the orthogonal projector G and the pointwise ``A`` column by
+    column (unit vectors through the matrix-free maps) and the system
+    operator as their product ``G A``, independent of the solver's; restricts
+    to the curl-free zero-mean subspace via an orthonormal basis extracted
+    from the projector, and solves by direct factorization.  Guarded to
+    small grids.
     """
     spec = a.spec
     n = spec.dim * spec.total
     if n > DENSE_ORACLE_LIMIT:
         raise ValueError(f"dense oracle limited to |N|*d <= {DENSE_ORACLE_LIMIT}, got {n}")
-    system = System(a)
     shape = (spec.dim,) + spec.shape
 
     def columns(op):
@@ -196,8 +197,8 @@ def dense_oracle(a: CoefficientField, load: LoadCase) -> GridField:
             M[:, j] = op(e.reshape(shape)).ravel()
         return M
 
-    G = columns(system.green.gamma0)
-    M_sys = columns(lambda v: apply_system(a, GridField(spec, v)).values)
+    G = columns(GreenOperator(spec).gamma0)
+    M_sys = G @ columns(lambda v: contract(a.data, v))
     # Orthonormal basis of the projector's range (eigenvalues are 0 or 1).
     U, s, _ = np.linalg.svd(G)
     B = U[:, s > 0.5]
@@ -255,14 +256,9 @@ def approximation_study(s, grids, orders=(0, 1), max_index=520):
 
 
 def write_study_csv(path, result: StudyResult):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value"])
-        for a, v in zip(result.axis, result.values):
-            writer.writerow([f"{a:.17g}", f"{v:.17g}"])
-        writer.writerow([])
-        writer.writerow(["fitted_exponent", f"{result.fitted_exponent:.17g}"])
-        writer.writerow(["fit_quality", f"{result.fit_quality:.17g}"])
-        writer.writerow(["label", result.label])
-        if result.flags:
-            writer.writerow(["flags", ";".join(result.flags)])
+    rows = [("axis", "value"), *zip(result.axis, result.values), ()]
+    rows += [("fitted_exponent", result.fitted_exponent), ("fit_quality", result.fit_quality)]
+    rows.append(("label", result.label))
+    if result.flags:
+        rows.append(("flags", ";".join(result.flags)))
+    write_csv(path, rows)

@@ -4,8 +4,9 @@ and run convergence/contrast/approximation studies.
 A run is described by an optional key=value config file plus flags; flags
 win, and each subcommand accepts only the flags it reads.  Exit codes: 0
 success, 1 non-convergence, 2 config or format violation, 3 data validation
-failure.  Output files are written atomically (temp file + rename) so
-interrupted runs never leave half-written files.
+failure.  Every output file is written atomically (temp file + rename) by
+its writer, which also makes the --out directory, so interrupted runs never
+leave half-written files and failed ones no empty directory.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .homogenize import (
     write_history_csv,
     write_tensor_csv,
 )
-from .material import MaterialDataError, VoxelFormatError, _atomic_write, apply_A, load_voxel, save_field
+from .material import MaterialDataError, VoxelFormatError, apply_A, load_voxel, save_field, write_text
 from .solver import LoadCase, SolverConfig, solve
 from .transforms import GridField, l2_inner
 
@@ -131,10 +132,8 @@ def cmd_solve(args):
     else:
         load = _parse_load(args.load, a.spec.dim)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     report = solve(a, load, cfg)
-    _atomic_write(out / "residuals.csv", lambda p: write_history_csv(p, report.residual_history))
+    write_history_csv(out / "residuals.csv", report.residual_history)
 
     lines = [
         f"method {report.method}",
@@ -153,7 +152,7 @@ def cmd_solve(args):
             lines.append(f"effective_value {l2_inner(j, total) / E2:.17g}")
     else:
         lines.append(f"message {report.message}")
-    _atomic_write(out / "summary.txt", lambda p: Path(p).write_text("\n".join(lines) + "\n"))
+    write_text(out / "summary.txt", "\n".join(lines) + "\n")
 
     if not report.converged:
         print("solve did not converge", file=sys.stderr)
@@ -165,39 +164,34 @@ def cmd_homogenize(args):
     a = _resolve_material(args)
     cfg = _solver_config(args, a.spec.dim)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         eff = effective_tensor(a, cfg)
     except ConvergenceError as exc:
         print(f"homogenization failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _atomic_write(out / "effective_tensor.csv", lambda p: write_tensor_csv(p, eff.matrix))
+    write_tensor_csv(out / "effective_tensor.csv", eff.matrix)
     lines = []
     for alpha, report in enumerate(eff.per_case_reports):
         lines.append(
             f"case {alpha}: iterations {report.iterations} "
             f"final_residual {report.residual_history[-1]:.17g}"
         )
-    _atomic_write(out / "cases.txt", lambda p: Path(p).write_text("\n".join(lines) + "\n"))
+    write_text(out / "cases.txt", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_study(args):
-    # Each kind parses its values before it makes --out, so a bad one leaves none.
     out = Path(args.out)
     if args.kind == "approximation":
-        out.mkdir(parents=True, exist_ok=True)
         results = approximation_study(2.0, [9, 17, 33, 65])
         for (op, r), result in sorted(results.items()):
-            _atomic_write(out / f"approximation_{op}_r{r}.csv", lambda p, x=result: write_study_csv(p, x))
+            write_study_csv(out / f"approximation_{op}_r{r}.csv", result)
             print(f"{op} r={r} exponent {result.fitted_exponent:.4f}")
         return EXIT_OK
     tol, max_iter = _parse(args.tol, "--tol"), _parse(args.max_iter, "--max-iter", int)
     cfg = SolverConfig(method="cg", tol=tol, max_iter=max_iter)
     if args.kind == "contrast":
         shape = _parse_grid(args.grid) if args.grid else (81, 81)
-        checkerboard_2d(1.0, 10.0).default_spec(shape)  # rejects a bad grid
-        out.mkdir(parents=True, exist_ok=True)
         results = contrast_study(
             lambda rho: checkerboard_2d(1.0, rho),
             [10.0, 100.0, 1000.0],
@@ -206,14 +200,13 @@ def cmd_study(args):
             max_iter=cfg.max_iter,
         )
         for method, result in sorted(results.items()):
-            _atomic_write(out / f"contrast_{method}.csv", lambda p, r=result: write_study_csv(p, r))
+            write_study_csv(out / f"contrast_{method}.csv", result)
             print(f"{method} exponent {result.fitted_exponent:.4f}")
     else:
         family = parse_family(args.family) if args.family else sine_1d()
         grids = [(9,), (17,), (33,), (65,)] if family.dim == 1 else [(9, 9), (17, 17), (33, 33)]
-        out.mkdir(parents=True, exist_ok=True)
         result = convergence_study(family, grids, cfg)
-        _atomic_write(out / "convergence.csv", lambda p: write_study_csv(p, result))
+        write_study_csv(out / "convergence.csv", result)
         print(f"convergence exponent {result.fitted_exponent:.4f}")
     return EXIT_OK
 

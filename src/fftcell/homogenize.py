@@ -13,12 +13,11 @@ the tests rather than assumed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .material import CoefficientField, apply_A, contract
+from .material import CoefficientField, apply_A, contract, write_csv
 from .solver import LoadCase, SolveReport, SolverConfig, System, solve
 from .transforms import GridField
 
@@ -97,16 +96,8 @@ def mean_flux(j: GridField) -> np.ndarray:
 
 def write_tensor_csv(path, matrix):
     """Row-major d x d CSV with full float round-trip precision."""
-    matrix = np.asarray(matrix, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([f"{v:.17g}" for v in row])
+    write_csv(path, np.asarray(matrix, dtype=float).tolist())
 
 
 def write_history_csv(path, history):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual"])
-        for i, r in enumerate(history):
-            writer.writerow([i, f"{r:.17g}"])
+    write_csv(path, [("iteration", "residual"), *enumerate(map(float, history))])

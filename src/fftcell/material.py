@@ -1,5 +1,5 @@
-"""Coefficient field A(x) on the grid: analytic sampling, voxel-file IO,
-SPD validation and ellipticity bounds.
+"""Coefficient field A(x) on the grid: analytic sampling, SPD validation,
+ellipticity bounds, voxel IO and the atomic writers of every output file.
 
 Isotropic data ``a(x) I`` is stored as one scalar per grid point.  Other
 data is stored packed symmetric: diagonal entries first, then the strict
@@ -9,6 +9,8 @@ point.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -230,8 +232,8 @@ def apply_A(a: CoefficientField, u: GridField) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# Voxel file format: <name>.json header + <name>.bin float64-LE payload in
-# the grid storage order: row-major, FFT-shifted (see fftcell.grid).
+# Atomic writers of every output file: CSV, text and the voxel pair, a <name>.json
+# header + <name>.bin float64-LE payload, row-major FFT-shifted (see fftcell.grid).
 
 # Voxel kind -> payload shape on a grid.
 _PAYLOAD_SHAPES = {
@@ -262,6 +264,20 @@ def _atomic_write(path, writer):
         raise
 
 
+def write_text(path, text):
+    """Write ``text`` to ``path`` atomically, its newlines untranslated."""
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text, newline=""))
+
+
+def write_csv(path, rows):
+    """Write ``rows`` to ``path`` as CSV, atomically: floats as ``.17g``,
+    which round-trips them, other values as they are."""
+    buf = io.StringIO()
+    cells = ([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v for v in row] for row in rows)
+    csv.writer(buf).writerows(cells)
+    write_text(path, buf.getvalue())
+
+
 def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
     """Write a header/payload pair atomically, payload first; payload shape
     must match ``kind``."""
@@ -281,7 +297,7 @@ def save_voxel(path, spec: GridSpec, payload: np.ndarray, kind: str):
     }
     hpath = _header_path(path)
     _atomic_write(hpath.with_suffix(".bin"), payload.tofile)
-    _atomic_write(hpath, lambda tmp: Path(tmp).write_text(json.dumps(header, indent=2) + "\n"))
+    write_text(hpath, json.dumps(header, indent=2) + "\n")
 
 
 def save_coefficients(path, a: CoefficientField):

@@ -180,13 +180,15 @@ class System:
 
     def analyze(self, values, out):
         """The half-lattice scalars of ``Gamma0 A values`` into ``out`` (a
-        fresh array when None)."""
+        fresh array when None).  Only on a copy that :meth:`begin` returns,
+        which holds the scratch."""
         self.analyses += 1
         flux = contract(self.coeffs, values, out=self.flux, row=self.row)
         return self.green.analyze(flux, out, self.spectrum)
 
     def apply(self, s, out):
-        """``Gamma0 A synthesize(s)`` into ``out``, through the buffer."""
+        """``Gamma0 A synthesize(s)`` into ``out``, through the buffer;
+        only on a copy that :meth:`begin` returns, as :meth:`analyze`."""
         return self.analyze(self.green.synthesize(s, self.values, self.spectrum), out)
 
 
@@ -265,7 +267,8 @@ def solve(
     ``x``, ``r``, ``p`` and ``Ap`` as half-lattice scalars, ``d`` times
     smaller than the fields they stand for, and synthesizes only the
     reported solution and recorded iterates.  No iteration allocates
-    beyond the ``k_d = 0`` slices of the inner product.
+    beyond the ``k_d = 0`` slices of the inner product and the ufunc
+    buffers of ``synthesize``'s casting multiply ``n s``.
     """
     spec = a.spec
     E = load.on(spec)

@@ -19,9 +19,10 @@ from fftcell.analysis import (
     write_study_csv,
 )
 from fftcell.families import checkerboard_2d, homogeneous, sine_1d
+from fftcell.green import GreenOperator
 from fftcell.grid import GridSpec
 from fftcell.material import CoefficientField, sample_analytic
-from fftcell.solver import LoadCase, SolverConfig, solve_cg
+from fftcell.solver import LoadCase, SolverConfig, System, solve_cg
 from fftcell.transforms import GridField, interpolate
 
 from conftest import random_spd_field
@@ -107,6 +108,21 @@ class TestDenseOracle:
         assert cg.converged
         assert np.max(np.abs(cg.solution.values - dense_oracle(a, load).values)) <= 1e-10
 
+    def test_builds_one_green_operator_and_no_system(self, rng, monkeypatch):
+        # The oracle assembles G A from the projector and the pointwise
+        # contraction, not from the solver's operator.
+        built = []
+        for cls in (GreenOperator, System):
+
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        spec = GridSpec((1.0, 1.0), (5, 5))
+        dense_oracle(random_spd_field(spec, rng), LoadCase((0.3, 1.0)))
+        assert built == ["GreenOperator"]
+
 
 class TestConvergenceStudy:
     def test_uniform_material_has_zero_error_everywhere(self):
@@ -152,6 +168,19 @@ class TestConvergenceStudy:
         cfg = SolverConfig(tol=1e-12, max_iter=1)
         with pytest.raises(RuntimeError, match="reference solve did not converge"):
             convergence_study(sine_1d(), [(9,), (17,)], cfg)
+
+    @pytest.mark.parametrize("rising", [False, True])
+    def test_errors_that_rise_with_refinement_are_flagged(self, monkeypatch, rising):
+        # Each grid's error is its size, or its inverse: rising or falling.
+        def error(coarse, fine):
+            n = coarse.spec.shape[0]
+            return float(n) if rising else 1.0 / n
+
+        monkeypatch.setattr(fftcell.analysis, "spectral_error", error)
+        cfg = SolverConfig(tol=1e-10, max_iter=2000)
+        result = convergence_study(sine_1d(), [(9,), (17,), (33,)], cfg)
+        assert result.values == ((9.0, 17.0, 33.0) if rising else (1 / 9, 1 / 17, 1 / 33))
+        assert ("non-monotone" in result.flags) == rising
 
 
 class TestContrastStudy:

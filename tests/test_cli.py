@@ -246,6 +246,8 @@ class TestHomogenize:
              "--max-iter", "1", "--tol", "1e-12", "--out", str(tmp_path / "out")]
         )
         assert code == 1
+        # Nothing was written, so the writers made no --out directory.
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -1,6 +1,8 @@
 """The package's public surface, and the names the benchmark imports from it."""
 
 import ast
+import csv
+import errno
 import importlib
 import inspect
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 
 import fftcell
 import fftcell.solver
+from fftcell.analysis import StudyResult, write_study_csv
 from fftcell.green import GreenOperator, ReferenceTensor
+from fftcell.homogenize import write_history_csv, write_tensor_csv
 from fftcell.solver import SolverConfig, System
 
 # The per-point lattice map and per-mode Green block, which left the package.
@@ -89,3 +93,69 @@ def test_a_precision_is_a_system(method):
     assert isinstance(system.twin, System)
     # Below float32's reach there is no twin.
     assert System(a, SolverConfig(method=method, tol=1e-8)).twin is None
+
+
+def _modules():
+    paths = sorted(Path(fftcell.__file__).parent.glob("*.py"))
+    return [(path.name, ast.parse(path.read_text())) for path in paths]
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = [
+        f"{name}: {alias.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fftcell"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_only_the_material_module_writes_files():
+    # Its writers all go through _atomic_write.
+    def is_write(call):
+        if isinstance(call.func, ast.Name):
+            return call.func.id == "open"
+        return getattr(call.func, "attr", None) in ("write_text", "write_bytes", "tofile")
+
+    writes = [
+        f"{name}: {ast.unparse(node.func)}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and is_write(node)
+    ]
+    assert writes and all(w.startswith("material.py: ") for w in writes)
+
+
+class _DiskFullAfterOneLine:
+    """A file that takes one line, then reports a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.lines = fh, 0
+
+    def write(self, text):
+        if self.lines:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.lines += 1
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_tensor_csv(path, np.eye(2)),
+        lambda path: write_history_csv(path, (1.0, 0.5, 0.25)),
+        lambda path: write_study_csv(path, StudyResult((0.5, 0.25), (1.0, 0.25), 2.0, 1.0, "demo")),
+    ],
+    ids=["tensor", "history", "study"],
+)
+def test_an_interrupted_csv_writer_leaves_the_target_and_no_temporary(tmp_path, monkeypatch, write):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    writer = csv.writer
+    monkeypatch.setattr(csv, "writer", lambda fh, **kwargs: writer(_DiskFullAfterOneLine(fh), **kwargs))
+    with pytest.raises(OSError, match="No space"):
+        write(target)
+    assert [f.name for f in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
