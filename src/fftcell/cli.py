@@ -2,11 +2,13 @@
 and run convergence/contrast/approximation studies.
 
 A run is described by an optional key=value config file plus flags; flags
-win, and each subcommand accepts only the flags it reads.  Exit codes: 0
-success, 1 non-convergence, 2 config or format violation, 3 data validation
-failure.  Every output file is written atomically (temp file + rename) by
-its writer, which also makes the --out directory, so interrupted runs never
-leave half-written files and failed ones no empty directory.
+win, and each subcommand accepts only the flags it reads.  A material file
+(from --material or a config key) leaves --family and --grid unread.  Exit
+codes: 0 success, 1 non-convergence, 2 config or format violation or an
+--out that cannot be written, 3 data validation failure.  Every output file
+is written atomically (temp file + rename) by its writer, which also makes
+the --out directory, so interrupted runs never leave half-written files and
+failed ones no empty directory.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ def _parse_load(text, dim):
 
 
 def _resolve_material(args):
-    """Build the coefficient field from --material or --family/--grid."""
+    """Build the coefficient field from --material or else --family/--grid;
+    ``main`` has rejected the latter as flags beside a material file."""
     if args.material:
         return load_voxel(args.material)
     if args.family:
@@ -270,13 +273,17 @@ def main(argv=None):
             values.update(_read_config(given.pop("config")))
         values.update(given)
         args = argparse.Namespace(**values)
+        # A study kind, and a material file, read fewer flags than the subcommand.
+        rule, reads = "", _FLAGS[command]
         if command == "study":
-            reads = _STUDY_FLAGS.get(args.kind)
-            if reads is None:
+            if args.kind not in _STUDY_FLAGS:
                 raise ConfigError(f"unknown study kind {args.kind!r}")
-            unread = [f"--{f.replace('_', '-')}" for f in given if f not in ("kind",) + reads]
-            if unread:
-                raise ConfigError(f"study --kind {args.kind} does not read {' '.join(unread)}")
+            rule, reads = f"--kind {args.kind}", ("kind",) + _STUDY_FLAGS[args.kind]
+        elif args.material:
+            rule, reads = "--material", tuple(f for f in reads if f not in ("family", "grid"))
+        unread = [f"--{f.replace('_', '-')}" for f in given if f not in reads]
+        if unread:
+            raise ConfigError(f"{command} {rule} does not read {' '.join(unread)}")
         commands = dict(validate=cmd_validate, solve=cmd_solve, homogenize=cmd_homogenize, study=cmd_study)
         return commands[command](args)
     except VoxelFormatError as exc:
@@ -287,6 +294,10 @@ def main(argv=None):
         return EXIT_DATA
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a writer's: an --out that cannot be a directory
+        target = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"output error: cannot write {target}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .green import GreenOperator, ReferenceTensor, narrow_view
-from .material import CoefficientField, contract
+from .material import CoefficientField, apply_A, contract
 from .transforms import GridField, l2_norm
 
 _DIVERGENCE_WINDOW = 10  # consecutive growth steps before declaring divergence
@@ -131,28 +131,29 @@ class System:
     and ``cfg``; one serves every load case of a homogenization.
 
     Its :class:`~fftcell.green.GreenOperator` is that of ``C_A I`` for CG
-    (Gamma0 ``G / C_A`` scales the output, not a copy of ``a``), of
-    ``cfg.reference`` or :func:`default_reference` for Neumann, and of
-    ``A0 = I`` without ``cfg``.  Scalar coefficients around ``lambda I``
-    with ``cfg.tol >= _SINGLE_TOL`` (about twice float32's unit roundoff),
-    a float32-normal ``c_A / lambda`` and a float32-finite ``C_A / lambda``
-    also get a ``twin``, the float32 system of ``a / lambda`` around
-    ``A0 = I``, which has no config.  A system is only read: :meth:`begin`
-    binds a copy of it to one solve's scratch, so one system serves
-    concurrent solves.
+    (Gamma0 ``G / C_A`` scales the output, not a copy of ``a``) and of
+    ``cfg.reference`` or :func:`default_reference` for Neumann.  Scalar
+    coefficients around ``lambda I`` with ``cfg.tol >= _SINGLE_TOL`` (about
+    twice float32's unit roundoff), a float32-normal ``c_A / lambda`` and a
+    float32-finite ``C_A / lambda`` also get a ``twin``, the float32 system
+    of ``a / lambda`` around ``A0 = I``, which has no config.  A system is
+    only read: :meth:`begin` binds a copy of it to one solve's scratch, so
+    one system serves concurrent solves.  Only :func:`solve` and
+    :func:`~fftcell.homogenize.effective_tensor` build one; the one-shot
+    :func:`apply_system` does not.
     """
 
-    def __init__(self, a: CoefficientField, cfg: SolverConfig | None = None):
+    def __init__(self, a: CoefficientField, cfg: SolverConfig):
         self.a, self.cfg, self.coeffs = a, cfg, a.data
-        if cfg is not None and cfg.method == "cg":
+        if cfg.method == "cg":
             ref = ReferenceTensor.scalar(a.C_A, a.spec.dim)
-        else:  # Neumann's reference, or A0 = I without cfg
-            ref = (cfg.reference or default_reference(a)) if cfg else None
+        else:
+            ref = cfg.reference or default_reference(a)
         self.green = GreenOperator(a.spec, ref)
         self.twin = None
         lam = self.green.ref.scalar_mode  # Gamma0 of lambda I is G / lambda
         f32 = np.finfo(np.float32)  # its bounds compared as Python floats, uncast
-        if cfg is not None and lam and a.data.ndim == a.spec.dim and cfg.tol >= _SINGLE_TOL and (
+        if lam and a.data.ndim == a.spec.dim and cfg.tol >= _SINGLE_TOL and (
             float(f32.tiny) <= a.c_A / lam and a.C_A / lam <= float(f32.max)
         ):
             # Before single()'s direction: the other heap order added 2 MB of RSS at 49^3.
@@ -193,12 +194,9 @@ class System:
 
 
 def apply_system(a: CoefficientField, u: GridField) -> GridField:
-    """System operator ``G A u`` with the orthogonal G, Gamma0 of ``A0 = I``."""
-    if a.spec != u.spec:
-        raise ValueError("coefficient field and grid field specs do not match")
-    system = System(a).begin()
-    s = system.analyze(u.values, None)
-    return GridField(a.spec, system.green.synthesize(s, None, system.spectrum))
+    """System operator ``G A u``: the orthogonal G, Gamma0 of ``A0 = I``, of
+    the pointwise product, independent of the solver's :class:`System`."""
+    return GridField(a.spec, GreenOperator(a.spec).gamma0(apply_A(a, u).values))
 
 
 def residual_norm(a: CoefficientField, load: LoadCase, candidate: GridField) -> float:

@@ -88,6 +88,15 @@ class TestSolve:
         assert "iterations 0" in summary
         assert "mean_flux 5,0" in summary
 
+    def test_a_zero_load_is_solved_in_no_iterations(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["solve", "--family", "sine1d", "--grid", "9", "--load", "0",
+                    "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "iterations 0" in summary and "mean_flux 0" in summary
+        # E . E = 0 has no effective value.
+        assert not any(line.startswith("effective_value") for line in summary)
+
     def test_sine_benchmark_effective_value(self, tmp_path):
         out = tmp_path / "out"
         code = run(
@@ -248,6 +257,99 @@ class TestHomogenize:
         assert code == 1
         # Nothing was written, so the writers made no --out directory.
         assert not (tmp_path / "out").exists()
+
+
+# A cheap run of each subcommand that writes into --out.
+WRITES = {
+    "solve": ["solve", "--family", "sine1d", "--grid", "9"],
+    "homogenize": ["homogenize", "--family", "sine1d", "--grid", "9"],
+    "study": ["study", "--kind", "convergence", "--tol", "1e-3"],
+}
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", list(WRITES))
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_an_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command, under):
+        existing = tmp_path / "taken"
+        existing.write_text("kept\n")
+        out = existing / "sub" if under else existing
+        assert run(WRITES[command] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {out}") and err.count("\n") == 1
+        assert existing.read_text() == "kept\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestMaterialSource:
+    @pytest.mark.parametrize(
+        "command, flags, unread",
+        [
+            ("validate", ["--grid", "5,5"], "--grid"),
+            ("solve", ["--family", "sine1d"], "--family"),
+            ("homogenize", ["--family", "sine1d", "--grid", "9"], "--family --grid"),
+        ],
+    )
+    def test_a_material_file_rejects_family_and_grid_flags(self, tmp_path, capsys, command, flags, unread):
+        path = make_isotropic_voxel(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--material", str(path)] + flags
+        assert run(argv + ([] if command == "validate" else ["--out", str(out)])) == 2
+        err = capsys.readouterr()
+        assert err.err == f"config error: {command} --material does not read {unread}\n"
+        assert err.out == "" and not out.exists()
+
+    def test_a_material_config_key_rejects_a_grid_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"material = {make_isotropic_voxel(tmp_path)}\n")
+        assert run(["validate", "--config", str(cfg), "--grid", "5,5"]) == 2
+        assert "validate --material does not read --grid" in capsys.readouterr().err
+
+    def test_family_and_grid_config_keys_beside_a_material_flag_are_left_unused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = sine1d\ngrid = 5\n")
+        path = make_isotropic_voxel(tmp_path)
+        assert run(["validate", "--config", str(cfg), "--material", str(path)]) == 0
+        assert "shape        (9, 9)" in capsys.readouterr().out
+
+
+def _non_spd_voxel(tmp_path):
+    spec = GridSpec((1.0,), (9,))
+    payload = np.ones(spec.shape)
+    payload[3] = -1.0
+    save_voxel(tmp_path / "bad.json", spec, payload, "isotropic")
+    return str(tmp_path / "bad.json")
+
+
+def _config(tmp_path, text):
+    (tmp_path / "run.cfg").write_text(text)
+    return str(tmp_path / "run.cfg")
+
+
+# Misuses of the command line, each with the exit code the module docstring gives it.
+MISUSES = {
+    "unwritable-out": (2, lambda t: ["solve", "--family", "sine1d", "--grid", "9",
+                                     "--out", _config(t, "")]),
+    "grid-beside-material": (2, lambda t: ["validate", "--material", str(make_isotropic_voxel(t)),
+                                           "--grid", "5,5"]),
+    "missing-voxel-file": (2, lambda t: ["validate", "--material", str(t / "nope.json")]),
+    "non-spd-payload": (3, lambda t: ["validate", "--material", _non_spd_voxel(t)]),
+    "unknown-family": (2, lambda t: ["validate", "--family", "nosuch", "--grid", "9"]),
+    "malformed-number": (2, lambda t: ["homogenize", "--family", "sine1d", "--grid", "9",
+                                       "--tol", "abc", "--out", str(t / "out")]),
+    "unknown-study-kind": (2, lambda t: ["study", "--config", _config(t, "kind = spectral\n")]),
+    "no-convergence": (1, lambda t: ["solve", "--family", "sine1d", "--grid", "99", "--tol", "1e-12",
+                                     "--max-iter", "2", "--out", str(t / "out")]),
+}
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("misuse", list(MISUSES))
+    def test_a_misuse_exits_with_its_code_and_one_stderr_line(self, tmp_path, capsys, misuse):
+        code, argv = MISUSES[misuse]
+        assert main(argv(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestConfigFile:

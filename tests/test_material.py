@@ -505,6 +505,21 @@ class TestVoxelFiles:
         if existing:
             assert target.read_text() == "old\n"
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_writer_that_fails_before_its_temporary_leaves_the_target(self, tmp_path, existing):
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_text("old\n")
+
+        def writer(tmp):
+            raise RuntimeError("no temporary")
+
+        with pytest.raises(RuntimeError, match="no temporary"):
+            _atomic_write(target, writer)
+        assert [f.name for f in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
+
     def test_payload_size_mismatch_rejected(self, tmp_path):
         spec = GridSpec((1.0,), (9,))
         save_voxel(tmp_path / "f.json", spec, np.ones(spec.shape), "isotropic")

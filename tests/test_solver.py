@@ -137,6 +137,36 @@ class TestApplySystem:
         rhs = l2_inner(u, apply_system(a, v))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
+    def test_builds_one_green_operator_and_no_system(self, rng, monkeypatch):
+        # G A is Gamma0 of A0 = I applied to the pointwise product, not
+        # the solver's operator.
+        built = []
+        for cls in (GreenOperator, System):
+
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        spec = GridSpec((1.0, 1.0), (5, 5))
+        apply_system(random_spd_field(spec, rng), random_gradient_field(spec, rng))
+        assert built == ["GreenOperator"]
+
+    @pytest.mark.parametrize("shape", [(9,), (9, 11), (5, 7, 3)])
+    @pytest.mark.parametrize("packed_field", [False, True], ids=["scalar", "packed"])
+    def test_equals_the_solvers_operator_of_the_unit_reference(self, rng, shape, packed_field):
+        spec = GridSpec((1.0,) * len(shape), shape)
+        a = random_spd_field(spec, rng)
+        if not packed_field:
+            a = CoefficientField.isotropic(spec, a.components[0])
+        assert (a.data.ndim > spec.dim) == (packed_field and spec.dim > 1)
+        u = GridField(spec, rng.standard_normal((spec.dim,) + shape))
+        unit = ReferenceTensor.scalar(1.0, spec.dim)
+        system = System(a, SolverConfig(method="neumann", tol=1e-8, reference=unit)).begin()
+        s = system.analyze(u.values, None)
+        expected = system.green.synthesize(s, None, system.spectrum)
+        assert np.array_equal(apply_system(a, u).values, expected)
+
 
 class TestConjugateGradients:
     def test_an_indefinite_operator_stops_the_solve(self, monkeypatch):
@@ -461,12 +491,15 @@ class TestOneLoop:
         # Matched by identity: an equal config or a field on the same grid
         # is another system, as the system caches a float32 copy of ``a``.
         twin = CoefficientField.isotropic(a.spec, a.data.copy())
-        for system in (System(a, neumann), System(a), System(a, SolverConfig()), System(twin, cg)):
+        for system in (System(a, neumann), System(a, SolverConfig()), System(twin, cg)):
             with pytest.raises(ValueError, match="system does not match"):
                 solve(a, load, cg, system=system)
         # Nor is the float32 twin, which shares ``a`` but not the reference.
         with pytest.raises(ValueError, match="system does not match"):
             solve(a, load, cg, system=System(a, cg).twin)
+        # Every system is built for a config.
+        with pytest.raises(TypeError):
+            System(a)
 
     @pytest.mark.parametrize("method", ["cg", "neumann"])
     def test_zero_load_is_solved_by_zero_whatever_the_warm_start(self, method):

@@ -100,6 +100,21 @@ def _modules():
     return [(path.name, ast.parse(path.read_text())) for path in paths]
 
 
+def _scopes_calling(name, tree, scope):
+    """The innermost module, class or function scope of every call of ``name`` under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield scope
+        named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        yield from _scopes_calling(name, node, f"{scope}.{node.name}" if named else scope)
+
+
+def test_only_the_solve_and_the_homogenization_build_a_system():
+    # The one-shot helpers compose Gamma0 and the pointwise product themselves.
+    builders = [scope for name, tree in _modules() for scope in _scopes_calling("System", tree, name[:-3])]
+    assert sorted(builders) == ["homogenize.effective_tensor", "solver.solve"]
+
+
 def test_no_module_imports_another_modules_private_name():
     private = [
         f"{name}: {alias.name}"
