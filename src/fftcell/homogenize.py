@@ -13,6 +13,9 @@ the tests rather than assumed.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,11 @@ import numpy as np
 from .material import CoefficientField, apply_A, contract, write_csv
 from .solver import LoadCase, SolveReport, SolverConfig, System, solve
 from .transforms import GridField
+
+# Grid points from which the load cases share the usable cores.  On a
+# 2-core x86-64 host two threads lost to one at 81^2 and 85^2 and won from
+# 87^2 on (CG), and won at 23^3 but not always at 19^3 and 21^3.
+_PARALLEL_POINTS = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -43,9 +51,27 @@ def unit_loads(dim):
     return [LoadCase(tuple(np.eye(dim)[alpha])) for alpha in range(dim)]
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one (``taskset`` sets it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
     """Drive the d unit load cases, all on one :class:`~fftcell.solver.System`,
     and assemble the effective tensor.
+
+    The cases run on ``w = min(d, _usable_cores())`` threads when the grid
+    has at least ``_PARALLEL_POINTS`` points, and on the calling thread
+    alone otherwise.  The calling thread solves cases ``0, w, 2w, ...`` and
+    hands each other case to a worker, on scratch that it begins itself:
+    scratch that the workers allocated would grow a malloc arena per
+    thread.  The results are those of the serial loop bit for bit.  The
+    first case in load order that fails raises :class:`ConvergenceError`
+    with the reports up to it, or raises its exception again; no worker
+    outlives the call.
 
     The system is dropped, then two ``(d, *N)`` scratch fields stream
     the assembly: per row ``alpha`` the total ``E^a + e~^a`` and its
@@ -57,15 +83,25 @@ def effective_tensor(a: CoefficientField, cfg: SolverConfig) -> EffectiveTensor:
     system = System(a, cfg)
     reports = []
     loads = unit_loads(d)
-    for load in loads:
-        report = solve(a, load, cfg, system=system)
-        reports.append(report)
-        if not report.converged:
-            raise ConvergenceError(
-                f"load case E={load.E} did not converge in "
-                f"{report.iterations} iterations ({report.message})",
-                tuple(reports),
-            )
+    w = min(d, _usable_cores()) if a.spec.total >= _PARALLEL_POINTS else 1
+    with ThreadPoolExecutor(w - 1) if w > 1 else nullcontext() as workers:
+        others = {
+            alpha: workers.submit(solve, a, loads[alpha], cfg, system=system.begin())
+            for alpha in range(d)
+            if alpha % w
+        }
+        for alpha, load in enumerate(loads):
+            if alpha in others:
+                report = others[alpha].result()
+            else:
+                report = solve(a, load, cfg, system=system)
+            reports.append(report)
+            if not report.converged:
+                raise ConvergenceError(
+                    f"load case E={load.E} did not converge in "
+                    f"{report.iterations} iterations ({report.message})",
+                    tuple(reports),
+                )
     del system
 
     total = np.empty((d,) + a.spec.shape)

@@ -137,11 +137,14 @@ class System:
     twice float32's unit roundoff), a float32-normal ``c_A / lambda`` and a
     float32-finite ``C_A / lambda`` also get a ``twin``, the float32 system
     of ``a / lambda`` around ``A0 = I``, which has no config.  A system is
-    only read: :meth:`begin` binds a copy of it to one solve's scratch, so
-    one system serves concurrent solves.  Only :func:`solve` and
-    :func:`~fftcell.homogenize.effective_tensor` build one; the one-shot
-    :func:`apply_system` does not.
+    only read: :meth:`begin` binds a copy of it to all of one solve's
+    scratch, so one system serves concurrent solves, and a thread can
+    begin a copy for a solve that another thread runs.  Only :func:`solve`
+    and :func:`~fftcell.homogenize.effective_tensor` build one; the
+    one-shot :func:`apply_system` does not.
     """
+
+    spectrum = None  # the scratch of a copy that begin() returns
 
     def __init__(self, a: CoefficientField, cfg: SolverConfig):
         self.a, self.cfg, self.coeffs = a, cfg, a.data
@@ -167,8 +170,15 @@ class System:
         """A copy bound to one solve's scratch, fresh when None: the complex
         half ``spectrum``, the real ``(d, *N)`` ``values`` that become the
         solution (packed data adds a ``flux`` and ``contract``'s ``row``)
-        and a count of ``analyses``; the twin's copy runs in their views."""
+        and a count of ``analyses``; the twin's copy runs in their views.
+        A system with a config also gets the loop's half-lattice scalars:
+        the iterate ``x = 0``, the residual ``r``, the direction ``p``
+        (``r`` itself for Neumann) and the product ``Ap``.  The copy serves
+        one :func:`solve`."""
         spec, work = self.a.spec, copy.copy(self)
+        if self.cfg:
+            # Before the buffers: the other heap order slowed the next 243^2 set-up by 18 %.
+            work.x = np.zeros(self.green.n.shape[1:], dtype=complex)
         work.spectrum = self.green.scratch() if spectrum is None else spectrum
         work.values = work.flux = np.empty((spec.dim,) + spec.shape) if values is None else values
         work.row, work.analyses = None, 0
@@ -177,6 +187,9 @@ class System:
         if self.twin:
             narrow = narrow_view(work.spectrum, np.complex64), narrow_view(work.values, np.float32)
             work.twin = self.twin.begin(*narrow)
+        if self.cfg:
+            work.r, work.Ap = np.empty_like(work.x), np.empty_like(work.x)
+            work.p = np.empty_like(work.x) if self.cfg.method == "cg" else work.r
         return work
 
     def analyze(self, values, out):
@@ -250,7 +263,9 @@ def solve(
     returned solution.
 
     ``system`` is the :class:`System` of ``a`` and ``cfg``, built here when
-    not given, and only read.  With its float32 ``twin`` the loop applies
+    not given, and only read.  The solve runs in the scratch of
+    :meth:`System.begin`: its own, or that of a ``system`` already begun,
+    which serves this solve only.  With its float32 ``twin`` the loop applies
     ``Gamma0 A p`` in float32; ``x``, ``r``, ``p``, ``Ap`` and every inner
     product stay complex128.  Reliable updates keep the float64 iteration
     counts: whenever ``|r|`` has fallen ``_RELIABLE`` below the smallest
@@ -276,10 +291,11 @@ def solve(
         system = System(a, cfg)
     elif system.a is not a or system.cfg is not cfg:
         raise ValueError("system does not match the coefficients and config")
-    # Before begin()'s buffers: the other heap order slowed the next 243^2 set-up by 18 %.
-    x = np.zeros(system.green.n.shape[1:], dtype=complex)
-    system = system.begin()  # this solve's scratch
-    green, field = system.green, system.values
+    if system.spectrum is None:
+        system = system.begin()  # this solve's scratch
+    elif system.analyses:
+        raise ValueError("a begun system serves one solve")
+    green, field, x = system.green, system.values, system.x
     units = a.C_A * E_max if cg else E_max
     mean = np.divide(E, E_max)
 
@@ -290,14 +306,14 @@ def solve(
         return np.negative(system.analyze(field, out), out=out)
 
     op = system.twin or system  # float32 products until a stall
-    r = residual(np.empty_like(x), start=True)
+    r = residual(system.r, start=True)
     # The rounding floor of that residual, from the flux A E / |E|_max it
     # leaves in ``system.flux``: a load that the coefficients balance to
     # rounding (a uniform medium, a laminate loaded along its layers) has
     # nothing above it for tol |r_0| to resolve, and x = 0 solves it.
     flux_max = max(system.flux.max(), -system.flux.min())  # max |flux| without a copy
     floor = _FLOOR * np.finfo(float).eps * flux_max / green.ref.c_bound
-    Ap = np.empty_like(x)
+    Ap = system.Ap
     rr = rr0 = rr_true = green.inner(r, r)
     certified = True  # r is the float64 residual of x
     stop = cfg.tol * np.sqrt(rr)
@@ -334,7 +350,9 @@ def solve(
 
     if np.sqrt(rr) <= floor:
         return report(0, True)
-    p = r.copy() if cg else r  # the Neumann step is along the residual
+    p = system.p
+    if cg:  # the Neumann step is along the residual, p is r
+        np.copyto(p, r)
     growth_streak = 0
     stalled = False
     for i in range(cfg.max_iter + 1):

@@ -1,4 +1,8 @@
-"""Shared builders for randomized fields, and per-point oracles of the lattice map."""
+"""Shared builders for randomized fields, per-point oracles of the lattice
+map, and the controls of the threaded load cases."""
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -108,3 +112,29 @@ def curl_residual(u):
     ortho = vhat - xi * (dots / norm2)[np.newaxis]
     ortho[(slice(None),) + (0,) * spec.dim] = 0.0
     return float(np.max(np.abs(ortho)))
+
+
+def pin_cores(monkeypatch, count):
+    """An affinity mask of ``count`` cores, as ``taskset`` sets one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def bounded(fn, *args, timeout=300):
+    """``fn(*args)`` on a daemon thread joined with a timeout, so that a
+    hang fails the test instead of stalling the suite; its exception is
+    raised again here."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except Exception as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), f"no result in {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]

@@ -3,9 +3,12 @@ import re
 import numpy as np
 import pytest
 
+import fftcell.homogenize
 from fftcell.cli import main
 from fftcell.grid import GridSpec
 from fftcell.material import load_field, save_voxel
+
+from conftest import bounded, pin_cores
 
 
 def run(argv):
@@ -217,6 +220,19 @@ class TestHomogenize:
         for name in ("effective_tensor.csv", "cases.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
+            ).read_bytes()
+
+    def test_threaded_and_serial_runs_are_byte_identical(self, tmp_path, monkeypatch):
+        # Criterion 12 across the two paths of effective_tensor.
+        monkeypatch.setattr(fftcell.homogenize, "_PARALLEL_POINTS", 1)
+        args = ["homogenize", "--family", "inclusion:10", "--grid", "17,17",
+                "--tol", "1e-8"]
+        for cores, name in ((1, "serial"), (2, "threaded")):
+            pin_cores(monkeypatch, cores)
+            assert bounded(run, args + ["--out", str(tmp_path / name)]) == 0
+        for name in ("effective_tensor.csv", "cases.txt"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "threaded" / name
             ).read_bytes()
 
     @pytest.mark.parametrize(

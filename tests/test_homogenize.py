@@ -1,5 +1,8 @@
 import csv
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from fftcell.material import CoefficientField, apply_A, sample_analytic
 from fftcell.solver import LoadCase, SolverConfig, System, solve, solve_cg
 from fftcell.transforms import GridField, l2_inner, l2_norm
 
-from conftest import random_spd_field
+from conftest import bounded, pin_cores, random_spd_field
 
 
 class TestEffectiveTensor:
@@ -140,6 +143,146 @@ class TestEffectiveTensor:
         per_case = effective_tensor(a, cfg)
         assert len(built) == 1 + spec.dim
         assert np.array_equal(shared.matrix, per_case.matrix)
+
+
+def assert_same_reports(reports, others):
+    """Equal report fields: solution, history, counts and exit state."""
+    assert len(reports) == len(others)
+    for one, other in zip(reports, others):
+        assert np.array_equal(one.solution.values, other.solution.values)
+        assert one.residual_history == other.residual_history
+        assert one.iterations == other.iterations
+        assert one.converged == other.converged and one.message == other.message
+        assert one.true_residual == other.true_residual
+        assert one.float64_applications == other.float64_applications
+
+
+class TestThreadedLoadCases:
+    """From ``_PARALLEL_POINTS`` grid points on, the load cases run on
+    ``min(d, usable cores)`` threads and give the serial loop's results."""
+
+    @pytest.fixture
+    def solvers(self, monkeypatch):
+        """Threads from one grid point on; maps each solved load case to
+        the thread that solved it."""
+        monkeypatch.setattr(fftcell.homogenize, "_PARALLEL_POINTS", 1)
+        threads, inner = {}, fftcell.homogenize.solve
+
+        def recorded(a, load, cfg, **kwargs):
+            threads[load.E.index(1.0)] = threading.current_thread()
+            return inner(a, load, cfg, **kwargs)
+
+        monkeypatch.setattr(fftcell.homogenize, "solve", recorded)
+        return threads
+
+    def serial_and_threaded(self, monkeypatch, cores, fn, *args):
+        """``fn(*args)`` on one core, then on ``cores``, each bounded in time."""
+        pin_cores(monkeypatch, 1)
+        serial = bounded(fn, *args)
+        pin_cores(monkeypatch, cores)
+        return serial, bounded(fn, *args)
+
+    def failure(self, fn, *args):
+        with pytest.raises(ConvergenceError) as exc:
+            bounded(fn, *args)
+        return exc.value
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("method", ["cg", "neumann"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9], ids=["float32", "float64"])
+    @pytest.mark.parametrize("kind", ["scalar 2-D", "scalar 3-D", "packed 3-D"])
+    def test_threads_give_the_bits_of_the_serial_loop(
+        self, kind, tol, method, cores, solvers, monkeypatch, rng
+    ):
+        spec = GridSpec((1.0,) * 2, (45, 45)) if kind.endswith("2-D") else GridSpec((1.0,) * 3, (15,) * 3)
+        if kind.startswith("packed"):
+            a = random_spd_field(spec, rng)
+        else:
+            a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        cfg = SolverConfig(method=method, tol=tol, max_iter=2000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleaving of the threads
+        try:
+            serial, threaded = self.serial_and_threaded(monkeypatch, cores, effective_tensor, a, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.matrix, threaded.matrix)
+        assert_same_reports(serial.per_case_reports, threaded.per_case_reports)
+        # The calling thread solved cases 0, w, 2w, ... and a worker each
+        # other case; none is left running.
+        w = min(spec.dim, cores)
+        assert len(set(solvers.values())) == w
+        assert all(solvers[alpha] is solvers[0] for alpha in range(0, spec.dim, w))
+        assert not any(thread.is_alive() for thread in solvers.values())
+
+    @pytest.mark.parametrize("axis, failing", [(1, 1), (0, 0)], ids=["worker", "caller"])
+    def test_one_failing_case_raises_for_it_in_load_order(self, axis, failing, solvers, monkeypatch):
+        # A laminate loaded along its layers is solved by zero; across them
+        # it needs more than the one step allowed.
+        spec = GridSpec((1.0, 1.0), (45, 45))
+        a = sample_analytic(lambda x: 3.0 + 2.0 * np.sin(np.pi * x[axis]), spec)
+        cfg = SolverConfig(tol=1e-12, max_iter=1)
+        serial, threaded = self.serial_and_threaded(monkeypatch, 2, self.failure, effective_tensor, a, cfg)
+        assert len(threaded.reports) == failing + 1
+        assert not threaded.reports[-1].converged
+        assert str(threaded) == str(serial)
+        assert_same_reports(serial.reports, threaded.reports)
+        assert len(set(solvers.values())) == 2
+        assert not any(thread.is_alive() for thread in solvers.values())
+
+    def test_every_case_failing_raises_for_the_first(self, solvers, monkeypatch, rng):
+        spec = GridSpec((1.0, 1.0, 1.0), (15, 15, 15))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        cfg = SolverConfig(tol=1e-12, max_iter=1)
+        serial, threaded = self.serial_and_threaded(monkeypatch, 3, self.failure, effective_tensor, a, cfg)
+        assert len(threaded.reports) == 1
+        assert_same_reports(serial.reports, threaded.reports)
+        assert len(set(solvers.values())) == 3
+        assert not any(thread.is_alive() for thread in solvers.values())
+
+    @pytest.mark.parametrize("max_iter", [1000, 1], ids=["raises", "case 0 fails first"])
+    def test_a_worker_exception_is_raised_again_in_load_order(self, max_iter, solvers, monkeypatch, rng):
+        spec = GridSpec((1.0, 1.0), (45, 45))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        cfg = SolverConfig(tol=1e-12, max_iter=max_iter)
+        inner = fftcell.homogenize.solve
+
+        def raising(a, load, cfg, **kwargs):
+            report = inner(a, load, cfg, **kwargs)
+            if load.E[1]:
+                raise ValueError("case 1 fails in its worker")
+            return report
+
+        monkeypatch.setattr(fftcell.homogenize, "solve", raising)
+        pin_cores(monkeypatch, 2)
+        expected = ValueError if max_iter > 1 else ConvergenceError
+        with pytest.raises(expected) as exc:
+            bounded(effective_tensor, a, cfg)
+        if expected is ConvergenceError:
+            assert len(exc.value.reports) == 1
+        assert solvers[1] is not solvers[0]
+        assert not solvers[1].is_alive()
+
+    def test_one_core_or_a_small_grid_starts_no_thread(self, monkeypatch, rng):
+        def refused(thread):
+            raise AssertionError("a thread was started")
+
+        spec = GridSpec((1.0, 1.0, 1.0), (15, 15, 15))
+        a = CoefficientField.isotropic(spec, 1.0 + 9.0 * rng.random(spec.shape))
+        cfg = SolverConfig(tol=1e-8)
+        assert spec.total < fftcell.homogenize._PARALLEL_POINTS
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        pin_cores(monkeypatch, 3)
+        below = effective_tensor(a, cfg)  # below the threshold
+        monkeypatch.setattr(fftcell.homogenize, "_PARALLEL_POINTS", 1)
+        pin_cores(monkeypatch, 1)
+        one_core = effective_tensor(a, cfg)
+        # Without an affinity call, the machine's count of one core.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        counted = effective_tensor(a, cfg)
+        assert np.array_equal(below.matrix, one_core.matrix)
+        assert np.array_equal(below.matrix, counted.matrix)
 
 
 class TestSolutionStructure:

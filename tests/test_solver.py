@@ -30,6 +30,7 @@ from fftcell.transforms import GridField, l2_norm
 from conftest import (
     curl_residual,
     mean_residual,
+    pin_cores,
     random_gradient_field,
     random_spd_field,
 )
@@ -484,10 +485,8 @@ class TestOneLoop:
     def test_a_given_system_must_match(self):
         a, load = sine_problem(n=99)
         cg, neumann = SolverConfig(), SolverConfig(method="neumann", max_iter=2000)
-        assert np.array_equal(
-            solve(a, load, cg, system=System(a, cg)).solution.values,
-            solve(a, load, cg).solution.values,
-        )
+        alone = solve(a, load, cg).solution.values
+        assert np.array_equal(solve(a, load, cg, system=System(a, cg)).solution.values, alone)
         # Matched by identity: an equal config or a field on the same grid
         # is another system, as the system caches a float32 copy of ``a``.
         twin = CoefficientField.isotropic(a.spec, a.data.copy())
@@ -500,6 +499,11 @@ class TestOneLoop:
         # Every system is built for a config.
         with pytest.raises(TypeError):
             System(a)
+        # A begun copy serves one solve: it holds that solve's x and solution.
+        work = System(a, cg).begin()
+        assert np.array_equal(solve(a, load, cg, system=work).solution.values, alone)
+        with pytest.raises(ValueError, match="serves one solve"):
+            solve(a, load, cg, system=work)
 
     @pytest.mark.parametrize("method", ["cg", "neumann"])
     def test_zero_load_is_solved_by_zero_whatever_the_warm_start(self, method):
@@ -686,10 +690,8 @@ class TestMemory:
         assert len(calls) == 7  # r_0, five steps and the exit residual
         assert max(calls) < row_bytes / 10
 
-    def test_effective_tensor_streams_its_assembly(self):
-        # The third solve peaks: two solutions and one float32 solve, about
-        # 6.44 fields.  The system is dropped before the assembly, which
-        # holds the d solutions and two scratch fields.
+    def effective_tensor_peak(self):
+        """Traced peak of one homogenization of the two-phase field, in fields."""
         spec = self.SPEC
         a = self.two_phase_field()
         tracemalloc.start()
@@ -700,7 +702,40 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert all(r.converged for r in eff.per_case_reports)
-        assert peak / (spec.dim * spec.total * 8) <= 6.5
+        return peak / (spec.dim * spec.total * 8)
+
+    def test_effective_tensor_streams_its_assembly(self, monkeypatch):
+        # On one core.  The third solve peaks: two solutions and one
+        # float32 solve, about 6.44 fields.  The system is dropped before
+        # the assembly, which holds the d solutions and two scratch fields.
+        pin_cores(monkeypatch, 1)
+        assert self.effective_tensor_peak() <= 6.5
+
+    def test_threaded_effective_tensor_adds_one_workspace(self, monkeypatch):
+        # On two cores a worker solves the second case beside the first:
+        # one more solve's scratch, about 7.89 fields in all.
+        pin_cores(monkeypatch, 2)
+        assert self.effective_tensor_peak() <= 8.0
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12], ids=["float32", "float64"])
+    def test_a_begun_solve_allocates_little_beyond_its_workspace(self, tol):
+        # What a worker allocates itself: numpy's ufunc and FFT buffers,
+        # the k_d = 0 slices of the inner product and the history, about
+        # 0.13 fields.
+        spec = self.SPEC
+        a = self.two_phase_field()
+        cfg = SolverConfig(tol=tol, max_iter=50)
+        work = System(a, cfg).begin()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = solve(a, LoadCase((1.0, 0.0, 0.0)), cfg, system=work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 50
+        assert report.solution.values is work.values
+        assert peak / (spec.dim * spec.total * 8) <= 0.3
 
 
 def relative_true_residual(a, load, report):
